@@ -77,11 +77,6 @@ class DramaConfig:
         brute_force_check_ns: charged CPU time per enumerated candidate.
         timeout_seconds: wall-clock budget before the run is declared dead
             (the paper killed DRAMA at roughly two hours).
-        batch_probes: issue each set scan's repeat sweeps as one vectorized
-            measurement campaign instead of stepwise batch calls. Both
-            paths are bit-identical in every measured value and charge —
-            the flag only exists so the perf harness can price stepwise
-            measurement issue.
     """
 
     pool_size: int = 10000
@@ -98,7 +93,6 @@ class DramaConfig:
     search_low_bit: int = 6
     brute_force_check_ns: float = 20_000.0
     timeout_seconds: float = 7200.0
-    batch_probes: bool = True
 
 
 @dataclass
@@ -228,21 +222,12 @@ class DramaTool:
             base_index = int(self._rng.integers(remaining.size))
             base = int(remaining[base_index])
             others = np.delete(remaining, base_index)
-            if config.batch_probes:
-                # Campaign form: one decode per scan, bit-identical to the
-                # stepwise loop below.
-                latencies = machine.measure_latency_sweeps(
-                    base, others, config.rounds, config.cluster_repeats
-                )
-            else:
-                latencies = machine.measure_latency_batch(
-                    base, others, config.rounds
-                )
-                for _ in range(config.cluster_repeats - 1):
-                    latencies = np.minimum(
-                        latencies,
-                        machine.measure_latency_batch(base, others, config.rounds),
-                    )
+            # One decode per scan; equal to ``cluster_repeats`` min-reduced
+            # measure_latency_batch calls, value for value and charge for
+            # charge.
+            latencies = machine.measure_latency_sweeps(
+                base, others, config.rounds, config.cluster_repeats
+            )
             members = others[threshold.classify(latencies)]
             if members.size >= config.min_set_size:
                 sets.append(np.concatenate([[np.uint64(base)], members]))

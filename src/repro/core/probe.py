@@ -64,9 +64,9 @@ class ProbeConfig:
             sweeps (:meth:`~repro.machine.machine.SimulatedMachine.
             measure_latency_sweeps` / batched pair scans) instead of
             step-by-step calls. Both paths are bit-identical in every
-            measured value, clock charge and counter — the flag exists so
-            the perf harness can price the stepwise path, not because the
-            results differ.
+            measured value, clock charge and counter; ``False`` forces the
+            stepwise reference path that tests compare the batched path
+            against.
     """
 
     rounds: int = 4000

@@ -23,9 +23,8 @@ The robustness core is the **confirm-or-fallback protocol**:
   cold-start instead of crashing the run.
 
 ``dramdig fleet run`` on the CLI drives
-:func:`repro.fleet.orchestrator.run_fleet`; the scaling artefact and the
-``fleet`` section of ``BENCH_perf.json`` come from
-:mod:`repro.fleet.perf`.
+:func:`repro.fleet.orchestrator.run_fleet`, which also produces the
+fleet's scaling curve.
 """
 
 from repro.fleet.breaker import CircuitBreaker

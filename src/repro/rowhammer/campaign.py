@@ -25,9 +25,9 @@ Aggressor selection inside double-sided trials goes through the
 compiled-translation fast path: the ground-truth mapping is published to
 the process-wide :class:`~repro.service.translation.TranslationService`
 and a :class:`~repro.rowhammer.aggressors.CompiledAggressorPlanner`
-plans every victim's aggressor pair in one batch of GF(2) kernels —
-the ``campaign`` section of ``BENCH_perf.json`` gates this path at ≥5×
-the per-victim scalar aim loop.
+plans every victim's aggressor pair in one batch of GF(2) kernels,
+pinned lane for lane to the per-victim scalar aim loop by
+``tests/rowhammer/test_aggressors.py``.
 
 The output is a bit-flip-yield leaderboard: per-configuration flips,
 raw flips, aim accuracy, TRR stops, ECC outcomes and a
