@@ -45,20 +45,6 @@ def test_bench_row_decode_batch(benchmark, no1_machine, address_pool):
     assert result.max() < 2**16
 
 
-def test_bench_bank_decode_popcount_reference(benchmark, no1_machine, address_pool):
-    """Retained pre-LUT decode — the before column of the speedup claim."""
-    mapping = no1_machine.ground_truth
-    result = benchmark(mapping.bank_of_array_popcount, address_pool)
-    assert result.max() < 16
-
-
-def test_bench_row_decode_shift_reference(benchmark, no1_machine, address_pool):
-    """Retained pre-LUT decode — the before column of the speedup claim."""
-    mapping = no1_machine.ground_truth
-    result = benchmark(mapping.row_of_array_shift, address_pool)
-    assert result.max() < 2**16
-
-
 def test_bench_packed_parity_gather(benchmark, no1_machine, address_pool):
     """The raw LUT primitive: all bank functions in one gather pass."""
     functions = no1_machine.ground_truth.bank_functions
@@ -165,26 +151,3 @@ def test_bench_sorted_unique_large_pool(benchmark):
     result = benchmark(sorted_unique, values)
     assert result.size <= values.size
     assert (np.diff(result.astype(np.int64)) > 0).all()
-
-
-def test_bench_emit_perf_json():
-    """Refresh the micro section of BENCH_perf.json from this suite.
-
-    Keeps the decode-throughput record current whenever the micro benches
-    run; the grid (serial-vs-parallel wall-clock) section is preserved if
-    present — regenerate it with ``python -m repro.parallel.perf``.
-    """
-    import json
-    import os
-    from pathlib import Path
-
-    from repro.parallel.perf import SEED_BASELINES, _micro_benches
-
-    path = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-    record = json.loads(path.read_text()) if path.exists() else {}
-    record.setdefault("environment", {})["cpu_count"] = os.cpu_count()
-    record["seed_baselines"] = SEED_BASELINES
-    record["micro"] = _micro_benches()
-    path.write_text(json.dumps(record, indent=2) + "\n")
-    for key, speedup in record["micro"]["speedup_vs_seed"].items():
-        assert speedup > 0, key

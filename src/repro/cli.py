@@ -102,19 +102,6 @@ def _grid_retries_arg(text: str) -> int:
     return retries
 
 
-def _batch_cells_arg(text: str) -> int:
-    """Positive per-task cell batch size for the evaluation grid."""
-    try:
-        batch = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if batch < 1:
-        raise argparse.ArgumentTypeError(
-            f"--batch-cells must be a positive integer (got {batch})"
-        )
-    return batch
-
-
 def _seconds_arg(text: str) -> float:
     """Positive wall-clock budget in seconds."""
     try:
@@ -465,23 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="worker processes for the evaluation grid "
             "(default: serial; -1 = all CPUs; results are bit-identical)",
-        )
-        grid_cmd.add_argument(
-            "--batch-cells",
-            type=_batch_cells_arg,
-            default=None,
-            metavar="K",
-            help="bundle K consecutive grid cells into one worker task "
-            "(default 1; cuts per-task dispatch overhead; results are "
-            "bit-identical)",
-        )
-        grid_cmd.add_argument(
-            "--pool-mode",
-            choices=("persistent", "fresh"),
-            default="persistent",
-            help="worker pool lifecycle: 'persistent' keeps a warmed pool "
-            "alive and reuses it across grids in one process, 'fresh' "
-            "builds and tears down a pool per grid (default persistent)",
         )
         grid_cmd.add_argument(
             "--resume",
@@ -959,8 +929,6 @@ def _command_campaign(args) -> int:
         jobs=args.jobs,
         supervision=supervision,
         journal=journal,
-        batch_cells=args.batch_cells,
-        pool_mode=args.pool_mode,
     )
     print(render_campaign(outcome))
     if args.out:
@@ -1095,8 +1063,6 @@ def _dispatch_command(args) -> int:
                 jobs=args.jobs,
                 supervision=supervision,
                 journal=journal,
-                batch_cells=args.batch_cells,
-                pool_mode=args.pool_mode,
             ),
             path=args.out,
         )
@@ -1110,8 +1076,7 @@ def _dispatch_command(args) -> int:
     if args.command == "table1":
         supervision, journal = _grid_options(args)
         verdicts = run_table1(
-            seed=args.seed, jobs=args.jobs, supervision=supervision, journal=journal,
-            batch_cells=args.batch_cells, pool_mode=args.pool_mode,
+            seed=args.seed, jobs=args.jobs, supervision=supervision, journal=journal
         )
         print(render_table1(verdicts))
         return 1 if any(verdict.grid_failed for verdict in verdicts) else 0
@@ -1123,8 +1088,7 @@ def _dispatch_command(args) -> int:
 
         supervision, journal = _grid_options(args)
         points = run_figure2(
-            seed=args.seed, jobs=args.jobs, supervision=supervision, journal=journal,
-            batch_cells=args.batch_cells, pool_mode=args.pool_mode,
+            seed=args.seed, jobs=args.jobs, supervision=supervision, journal=journal
         )
         print(render_figure2(points))
         return 1 if any(isinstance(point, CellFailure) for point in points) else 0
@@ -1138,8 +1102,6 @@ def _dispatch_command(args) -> int:
             jobs=args.jobs,
             supervision=supervision,
             journal=journal,
-            batch_cells=args.batch_cells,
-            pool_mode=args.pool_mode,
         )
         print(render_table3(rows))
         return 1 if any(isinstance(row, CellFailure) for row in rows) else 0

@@ -22,8 +22,8 @@ Batch translation in either direction is then a handful of 16-bit-slice
 table gathers (:func:`repro.analysis.bits.packed_parity_tables`) over a
 NumPy array — constant work per address regardless of how many functions
 the mapping has. The scalar decode path in ``AddressMapping`` remains the
-ground truth; the perf gate and the property tests in
-``tests/dram/test_compiled.py`` pin bit-for-bit agreement.
+ground truth; the property tests in ``tests/dram/test_compiled.py`` pin
+bit-for-bit agreement.
 
 Forward-only compilation (:meth:`CompiledMapping.from_belief`) accepts
 unvalidated :class:`~repro.dram.belief.BeliefMapping` claims: prediction
@@ -251,7 +251,7 @@ class CompiledMapping:
         """Batched phys → (bank, row, column) arrays.
 
         Bit-identical to the scalar ``AddressMapping.dram_address`` on
-        every input (property-tested and enforced by the perf gate).
+        every input (property-tested in ``tests/dram/test_compiled.py``).
         """
         linear = self.linearize(phys_addrs)
         column = linear & np.uint64(self.columns - 1)

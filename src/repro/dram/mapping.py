@@ -189,8 +189,8 @@ class AddressMapping:
     # performs, so they use per-mapping 16-bit-slice lookup tables (built
     # lazily, cached on the instance): one gather per touched address slice
     # evaluates *all* bank functions (or row/column selectors) at once,
-    # instead of one popcount pass per function. The popcount forms are kept
-    # as ``*_popcount`` references; a property test pins their equality.
+    # instead of one popcount pass per function. ``tests/dram/test_mapping.py``
+    # pins them against per-function popcount / per-bit shift references.
 
     @cached_property
     def _bank_tables(self) -> tuple[tuple[np.uint64, np.ndarray], ...]:
@@ -227,26 +227,6 @@ class AddressMapping:
         if column is None:
             return np.zeros(addrs.shape, dtype=np.uint64)
         return column
-
-    # Popcount/shift reference decoders — the seed implementations, retained
-    # as the ground truth the lookup-table decode is property-tested against
-    # and as the perf harness's before/after comparison point.
-
-    def bank_of_array_popcount(self, phys_addrs: np.ndarray) -> np.ndarray:
-        """Reference per-function popcount decode (pre-LUT implementation)."""
-        addrs = np.asarray(phys_addrs, dtype=np.uint64)
-        index = np.zeros(addrs.shape, dtype=np.uint32)
-        for position, mask in enumerate(self.bank_functions):
-            index |= bitutil.parity_array(addrs, mask).astype(np.uint32) << np.uint32(position)
-        return index
-
-    def row_of_array_shift(self, phys_addrs: np.ndarray) -> np.ndarray:
-        """Reference per-bit shift decode (pre-LUT implementation)."""
-        addrs = np.asarray(phys_addrs, dtype=np.uint64)
-        row = np.zeros(addrs.shape, dtype=np.uint64)
-        for index, position in enumerate(self.row_bits):
-            row |= ((addrs >> np.uint64(position)) & np.uint64(1)) << np.uint64(index)
-        return row
 
     # ------------------------------------------------------- compiled form
 

@@ -26,7 +26,7 @@ from repro.dram.belief import BeliefMapping
 from repro.dram.presets import preset
 from repro.evalsuite.reporting import render_table
 from repro.machine.machine import SimulatedMachine
-from repro.parallel import DEFAULT_START_METHOD, GridCell, resolve_jobs, run_cells
+from repro.parallel import GridCell, run_cells
 
 __all__ = ["DeterminismRow", "run_determinism", "render_determinism"]
 
@@ -62,11 +62,13 @@ def _canonical(belief: BeliefMapping) -> tuple:
     return (basis, belief.row_bits)
 
 
-def dramdig_run_cell(machine_name: str, seed: int) -> dict:
+def dramdig_run_cell(
+    machine_name: str, seed: int, dramdig_config: DramDigConfig | None
+) -> dict:
     """One DRAMDig run: canonical output + ground-truth equivalence."""
     truth = preset(machine_name).mapping
     machine = SimulatedMachine.from_preset(preset(machine_name), seed=seed)
-    result = DramDig().run(machine)
+    result = DramDig(dramdig_config).run(machine)
     belief = BeliefMapping.from_mapping(result.mapping)
     return {
         "canonical": _canonical(belief),
@@ -74,11 +76,13 @@ def dramdig_run_cell(machine_name: str, seed: int) -> dict:
     }
 
 
-def drama_run_cell(machine_name: str, seed: int, tool_seed: int) -> dict | None:
+def drama_run_cell(
+    machine_name: str, seed: int, tool_seed: int, drama_config: DramaConfig | None
+) -> dict | None:
     """One DRAMA run; ``None`` when the run times out without a belief."""
     truth = preset(machine_name).mapping
     machine = SimulatedMachine.from_preset(preset(machine_name), seed=seed)
-    result = DramaTool(None, seed=tool_seed).run(machine)
+    result = DramaTool(drama_config, seed=tool_seed).run(machine)
     if result.belief is None:
         return None
     return {
@@ -111,7 +115,6 @@ def run_determinism(
     dramdig_config: DramDigConfig | None = None,
     drama_config: DramaConfig | None = None,
     jobs: int | None = None,
-    start_method: str = DEFAULT_START_METHOD,
 ) -> list[DeterminismRow]:
     """Repeated-run study of DRAMDig and DRAMA on one machine.
 
@@ -122,61 +125,36 @@ def run_determinism(
     real machine sees fresh noise; DRAMDig's output must survive that,
     DRAMA's does not.
 
-    One grid cell per (tool, run); ``jobs`` > 1 fans them out to worker
-    processes with bit-identical aggregation (records fold in run order).
-    ``dramdig_config``/``drama_config`` must be ``None`` when ``jobs`` > 1
-    (cells rebuild default configs; non-default configs are a serial-only
-    convenience kept for the test-suite).
+    One grid cell per (tool, run), each carrying its tool config;
+    ``jobs`` > 1 fans them out to worker processes with bit-identical
+    aggregation (records fold in run order).
     """
-    if jobs is not None and resolve_jobs(jobs) > 1 and (dramdig_config or drama_config):
-        raise ValueError("custom tool configs are not supported with jobs > 1")
-    if dramdig_config or drama_config:
-        truth = preset(machine_name).mapping
-        dramdig_records = []
-        for run in range(runs):
-            machine = SimulatedMachine.from_preset(preset(machine_name), seed=seed + run)
-            belief = BeliefMapping.from_mapping(DramDig(dramdig_config).run(machine).mapping)
-            dramdig_records.append(
-                {"canonical": _canonical(belief), "correct": bool(belief.hammer_equivalent(truth))}
-            )
-        drama_records = []
-        for run in range(runs):
-            machine = SimulatedMachine.from_preset(preset(machine_name), seed=seed + run)
-            result = DramaTool(drama_config, seed=seed * 1000 + run).run(machine)
-            if result.belief is None:
-                drama_records.append(None)
-            else:
-                drama_records.append(
-                    {
-                        "canonical": _canonical(result.belief),
-                        "correct": bool(result.belief.hammer_equivalent(truth)),
-                    }
-                )
-    else:
-        cells = [
-            GridCell(
-                "repro.evalsuite.determinism:dramdig_run_cell",
-                {"machine_name": machine_name, "seed": seed + run},
-            )
-            for run in range(runs)
-        ] + [
-            GridCell(
-                "repro.evalsuite.determinism:drama_run_cell",
-                {
-                    "machine_name": machine_name,
-                    "seed": seed + run,
-                    "tool_seed": seed * 1000 + run,
-                },
-            )
-            for run in range(runs)
-        ]
-        records = run_cells(cells, jobs=jobs, start_method=start_method)
-        dramdig_records = records[:runs]
-        drama_records = records[runs:]
-
+    cells = [
+        GridCell(
+            "repro.evalsuite.determinism:dramdig_run_cell",
+            {
+                "machine_name": machine_name,
+                "seed": seed + run,
+                "dramdig_config": dramdig_config,
+            },
+        )
+        for run in range(runs)
+    ] + [
+        GridCell(
+            "repro.evalsuite.determinism:drama_run_cell",
+            {
+                "machine_name": machine_name,
+                "seed": seed + run,
+                "tool_seed": seed * 1000 + run,
+                "drama_config": drama_config,
+            },
+        )
+        for run in range(runs)
+    ]
+    records = run_cells(cells, jobs=jobs)
     return [
-        _fold_rows("DRAMDig", machine_name, runs, dramdig_records),
-        _fold_rows("DRAMA", machine_name, runs, drama_records),
+        _fold_rows("DRAMDig", machine_name, runs, records[:runs]),
+        _fold_rows("DRAMA", machine_name, runs, records[runs:]),
     ]
 
 

@@ -26,7 +26,6 @@ from repro.evalsuite.gridrun import execute_grid
 from repro.evalsuite.reporting import format_seconds, render_failure_manifest, render_table
 from repro.machine.machine import SimulatedMachine
 from repro.parallel import (
-    DEFAULT_START_METHOD,
     CellFailure,
     CheckpointJournal,
     GridCell,
@@ -78,11 +77,8 @@ def run_figure2(
     dramdig_config: DramDigConfig | None = None,
     drama_config: DramaConfig | None = None,
     jobs: int | None = None,
-    start_method: str = DEFAULT_START_METHOD,
     supervision: GridPolicy | None = None,
     journal: CheckpointJournal | str | None = None,
-    batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> list[Figure2Point | CellFailure]:
     """Measure both tools' simulated time cost on every machine.
 
@@ -105,9 +101,7 @@ def run_figure2(
         for name in machines
     ]
     return execute_grid(
-        cells, jobs=jobs, start_method=start_method,
-        supervision=supervision, journal=journal,
-        batch_cells=batch_cells, pool_mode=pool_mode,
+        cells, jobs=jobs, supervision=supervision, journal=journal
     )
 
 

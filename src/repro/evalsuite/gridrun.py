@@ -30,7 +30,6 @@ from tempfile import TemporaryDirectory
 from repro.obs import telemetry
 from repro.obs import tracing as obs
 from repro.parallel import (
-    DEFAULT_START_METHOD,
     CheckpointJournal,
     GridCell,
     GridPolicy,
@@ -52,30 +51,14 @@ def _experiment_name(cells: Sequence[GridCell]) -> str:
 def _dispatch(
     cells: Sequence[GridCell],
     jobs: int | None,
-    start_method: str,
     supervision: GridPolicy | None,
     journal,
-    batch_cells: int | None,
-    pool_mode: str,
 ):
     """Run the cells; returns (results, outcome-or-None)."""
     if supervision is None and journal is None:
-        results = run_cells(
-            cells,
-            jobs=jobs,
-            start_method=start_method,
-            batch_cells=batch_cells,
-            pool_mode=pool_mode,
-        )
-        return results, None
+        return run_cells(cells, jobs=jobs), None
     outcome = run_cells_supervised(
-        cells,
-        jobs=jobs,
-        start_method=start_method,
-        policy=supervision,
-        journal=journal,
-        batch_cells=batch_cells,
-        pool_mode=pool_mode,
+        cells, jobs=jobs, policy=supervision, journal=journal
     )
     return outcome.results, outcome
 
@@ -83,21 +66,15 @@ def _dispatch(
 def execute_grid(
     cells: Sequence[GridCell],
     jobs: int | None = None,
-    start_method: str = DEFAULT_START_METHOD,
     supervision: GridPolicy | None = None,
     journal: CheckpointJournal | str | Path | None = None,
-    batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> list:
     """Run an experiment's cells, fail-fast or supervised.
 
     Returns per-cell results in submission order. Under supervision a
     failed cell's slot holds its :class:`~repro.parallel.CellFailure`
     instead of a result; the fail-fast path raises on the first error,
-    exactly as the seed engine did. ``batch_cells`` bundles consecutive
-    cells per pool task and ``pool_mode`` selects persistent (warmed,
-    reused) or fresh worker pools — both change only how work is
-    shipped, never the bytes of any artefact.
+    exactly as the seed engine did.
     """
     bus = telemetry.current_bus()
     dispatched = list(cells)
@@ -114,10 +91,7 @@ def execute_grid(
 
     tracer = obs.current_tracer()
     if tracer is None or not cells:
-        results, _ = _dispatch(
-            dispatched, jobs, start_method, supervision, journal, batch_cells,
-            pool_mode,
-        )
+        results, _ = _dispatch(dispatched, jobs, supervision, journal)
         return results
 
     from repro.obs.gridtrace import stitch_cell_traces, traced_cells
@@ -126,10 +100,7 @@ def execute_grid(
     with TemporaryDirectory(prefix="dramdig-trace-") as trace_dir:
         traced = traced_cells(dispatched, trace_dir)
         with tracer.span(f"grid:{_experiment_name(cells)}") as grid_scope:
-            results, outcome = _dispatch(
-                traced, jobs, start_method, supervision, journal,
-                batch_cells, pool_mode,
-            )
+            results, outcome = _dispatch(traced, jobs, supervision, journal)
             tally = stitch_cell_traces(
                 tracer, grid_scope.record, cells, results, trace_dir
             )

@@ -45,10 +45,6 @@ class ReportConfig:
             ``FAILED(reason)`` entries instead of aborting the report.
         journal: checkpoint journal (instance or path) shared by the
             experiment grids; completed cells are skipped on ``--resume``.
-        batch_cells: consecutive grid cells bundled per worker task
-            (None/1 = one cell per task; results stay bit-identical).
-        pool_mode: ``persistent`` reuses a warmed worker pool across the
-            report's grids, ``fresh`` builds and tears one down per grid.
     """
 
     seed: int = 1
@@ -63,8 +59,6 @@ class ReportConfig:
     jobs: int | None = None
     supervision: GridPolicy | None = None
     journal: CheckpointJournal | str | None = None
-    batch_cells: int | None = None
-    pool_mode: str = "persistent"
 
 
 def generate_report(
@@ -97,8 +91,6 @@ def generate_report(
                 jobs=config.jobs,
                 supervision=config.supervision,
                 journal=journal,
-                batch_cells=config.batch_cells,
-                pool_mode=config.pool_mode,
             )
         ),
         "```",
@@ -131,8 +123,6 @@ def generate_report(
                 jobs=config.jobs,
                 supervision=config.supervision,
                 journal=journal,
-                batch_cells=config.batch_cells,
-                pool_mode=config.pool_mode,
             )
         ),
         "```",
@@ -154,8 +144,6 @@ def generate_report(
                 jobs=config.jobs,
                 supervision=config.supervision,
                 journal=journal,
-                batch_cells=config.batch_cells,
-                pool_mode=config.pool_mode,
             )
         ),
         "```",

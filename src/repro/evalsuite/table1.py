@@ -33,7 +33,6 @@ from repro.evalsuite.gridrun import execute_grid
 from repro.evalsuite.reporting import render_table
 from repro.machine.machine import SimulatedMachine
 from repro.parallel import (
-    DEFAULT_START_METHOD,
     CellFailure,
     CheckpointJournal,
     GridCell,
@@ -78,11 +77,8 @@ def run_table1(
     determinism_runs: int = 3,
     drama_config: DramaConfig | None = None,
     jobs: int | None = None,
-    start_method: str = DEFAULT_START_METHOD,
     supervision: GridPolicy | None = None,
     journal: CheckpointJournal | str | None = None,
-    batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> list[ToolVerdict]:
     """Measure Table I's properties for all four tools.
 
@@ -121,9 +117,7 @@ def run_table1(
             )
         )
     results = execute_grid(
-        cells, jobs=jobs, start_method=start_method,
-        supervision=supervision, journal=journal,
-        batch_cells=batch_cells, pool_mode=pool_mode,
+        cells, jobs=jobs, supervision=supervision, journal=journal
     )
     panel = len(machines)
     xiao_records = results[:panel]

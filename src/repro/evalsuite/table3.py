@@ -19,7 +19,6 @@ from repro.evalsuite.gridrun import execute_grid
 from repro.evalsuite.reporting import render_failure_manifest, render_table
 from repro.machine.machine import SimulatedMachine
 from repro.parallel import (
-    DEFAULT_START_METHOD,
     CellFailure,
     CheckpointJournal,
     GridCell,
@@ -108,11 +107,8 @@ def run_table3(
     dramdig_config: DramDigConfig | None = None,
     drama_config: DramaConfig | None = None,
     jobs: int | None = None,
-    start_method: str = DEFAULT_START_METHOD,
     supervision: GridPolicy | None = None,
     journal: CheckpointJournal | str | None = None,
-    batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> list[Table3Row | CellFailure]:
     """Run the paper's rowhammer comparison.
 
@@ -137,9 +133,7 @@ def run_table3(
         for name in machines
     ]
     return execute_grid(
-        cells, jobs=jobs, start_method=start_method,
-        supervision=supervision, journal=journal,
-        batch_cells=batch_cells, pool_mode=pool_mode,
+        cells, jobs=jobs, supervision=supervision, journal=journal
     )
 
 

@@ -121,10 +121,10 @@ def materialize_mapping(spec: MachineSpec) -> AddressMapping:
 def _family_seeds(seed: int, families: int, max_gib: int | None) -> list[int]:
     """Deterministic family seeds, optionally capped by memory size.
 
-    ``max_gib`` exists so tests and the perf harness can keep fleets on
-    small geometries (a 32 GiB machine costs real wall-clock in the
-    allocator and the search) without losing determinism: candidates are
-    scanned in a fixed order and filtered, never sampled.
+    ``max_gib`` exists so tests and the CLI can keep fleets on small
+    geometries (a 32 GiB machine costs real wall-clock in the allocator
+    and the search) without losing determinism: candidates are scanned
+    in a fixed order and filtered, never sampled.
     """
     if families < 1:
         raise ValueError("families must be positive")

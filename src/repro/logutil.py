@@ -1,7 +1,7 @@
-"""Shared logging setup for the CLI and the perf harness.
+"""Shared logging setup for the CLI.
 
-Status and diagnostic lines ("Reverse-engineering No.4 ...", perf
-progress) go through the ``repro`` logger to **stderr**; artefact and
+Status and diagnostic lines ("Reverse-engineering No.4 ...", campaign
+and fleet progress) go through the ``repro`` logger to **stderr**; artefact and
 summary output (tables, run summaries, recovered mappings) stays on
 **stdout**. That split is load-bearing: the byte-identity tests and the
 kill-and-resume smoke compare stdout, so diagnostics must never land

@@ -9,7 +9,9 @@ order, so the parallel path is bit-identical to the serial one; the
 ``--jobs N`` flag of ``dramdig table1/figure2/table3/report`` is wired
 through here.
 
-Two runners share the cell model:
+Grid work ships one way: one cell per task, on a warmed ``spawn`` pool
+that the process-wide :class:`PoolManager` leases by worker count and
+parks between dispatches. Two runners share that cell model:
 
 * :func:`run_cells` — fail-fast: the first cell error aborts the run
   (the seed behaviour, and still the default);
@@ -21,13 +23,7 @@ Two runners share the cell model:
   on the CLI).
 """
 
-from repro.parallel.batching import (
-    chunk_indices,
-    execute_cell_batch,
-    resolve_batch_cells,
-)
 from repro.parallel.grid import (
-    DEFAULT_START_METHOD,
     CellExecutionError,
     GridCell,
     execute_cell,
@@ -37,12 +33,7 @@ from repro.parallel.grid import (
     run_cells,
 )
 from repro.parallel.journal import CheckpointJournal
-from repro.parallel.pool import (
-    POOL_MODES,
-    PoolManager,
-    get_pool_manager,
-    worker_state,
-)
+from repro.parallel.pool import PoolManager, get_pool_manager
 from repro.parallel.supervisor import (
     CellFailure,
     GridError,
@@ -52,8 +43,6 @@ from repro.parallel.supervisor import (
 )
 
 __all__ = [
-    "DEFAULT_START_METHOD",
-    "POOL_MODES",
     "CellExecutionError",
     "CellFailure",
     "CheckpointJournal",
@@ -62,15 +51,11 @@ __all__ = [
     "GridOutcome",
     "GridPolicy",
     "PoolManager",
-    "chunk_indices",
     "execute_cell",
-    "execute_cell_batch",
     "fingerprint_cell",
     "fingerprint_payload",
     "get_pool_manager",
-    "resolve_batch_cells",
     "resolve_jobs",
     "run_cells",
     "run_cells_supervised",
-    "worker_state",
 ]

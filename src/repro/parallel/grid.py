@@ -10,8 +10,8 @@ Design constraints, in order of importance:
    regresses this across processes.
 2. **Spawn-safe.** Cells name their worker as a ``"module:function"``
    string resolved *inside* the worker after a fresh import, so nothing
-   about the parent's state needs to survive pickling — the default start
-   method is ``spawn`` (fork-safety of numpy's threadpools is not worth
+   about the parent's state needs to survive pickling — workers are
+   always spawned (fork-safety of numpy's threadpools is not worth
    trusting), and payloads must contain only picklable values (ints,
    strings, tuples, frozen config dataclasses). Picklability is validated
    when the cell is *built*, in the parent, so a bad payload fails with
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import import_module
 
 __all__ = [
-    "DEFAULT_START_METHOD",
     "CellExecutionError",
     "GridCell",
     "execute_cell",
@@ -46,8 +45,6 @@ __all__ = [
     "resolve_jobs",
     "run_cells",
 ]
-
-DEFAULT_START_METHOD = "spawn"
 
 # Workers only ever resolve tasks inside the package itself: a cell that
 # named an arbitrary module would turn pickled payloads into an import
@@ -255,66 +252,33 @@ def execute_cell(cell: GridCell):
         ) from error
 
 
-def run_cells(
-    cells: Sequence[GridCell],
-    jobs: int | None = None,
-    start_method: str = DEFAULT_START_METHOD,
-    batch_cells: int | None = None,
-    pool_mode: str = "persistent",
-) -> list:
+def run_cells(cells: Sequence[GridCell], jobs: int | None = None) -> list:
     """Execute ``cells`` and return their results in submission order.
 
     ``jobs`` <= 1 (the default) runs serially in-process. Larger values fan
-    the cells out over a warmed worker pool leased from the process-wide
-    :class:`~repro.parallel.pool.PoolManager`; ``Executor.map`` guarantees
-    result order matches cell order regardless of completion order, which
-    is what keeps rendered artefacts bit-identical to the serial path.
-    ``pool_mode="persistent"`` (the default) parks the pool after the run
-    for the next dispatch of the same shape; ``"fresh"`` reproduces the
-    historical spawn-per-dispatch behaviour.
-
-    ``batch_cells`` > 1 bundles that many consecutive cells into each
-    submitted task (see :mod:`repro.parallel.batching`), trading per-cell
-    dispatch overhead for coarser scheduling. Results are un-bundled back
-    into per-cell order, so batching never changes a byte of output.
+    the cells out, one cell per task, over a warmed worker pool leased from
+    the process-wide :class:`~repro.parallel.pool.PoolManager` and parked
+    again afterwards for the next dispatch of the same size;
+    ``Executor.map`` guarantees result order matches cell order regardless
+    of completion order, which is what keeps rendered artefacts
+    bit-identical to the serial path.
 
     This is the fail-fast runner: the first cell exception (in submission
     order) propagates and aborts the run. Use
     :func:`repro.parallel.run_cells_supervised` when a run must survive
     worker death, hangs, or interruption.
     """
-    from repro.parallel.batching import (
-        chunk_indices,
-        execute_cell_batch,
-        resolve_batch_cells,
-    )
     from repro.parallel.pool import get_pool_manager
 
     cells = list(cells)
     workers = min(resolve_jobs(jobs), len(cells)) if cells else 1
     if workers <= 1:
         return [execute_cell(cell) for cell in cells]
-    batch = resolve_batch_cells(batch_cells)
     manager = get_pool_manager()
-    pool = manager.lease(workers, start_method, pool_mode)
+    pool = manager.lease(workers)
     healthy = True
     try:
-        if batch <= 1:
-            return list(pool.map(execute_cell, cells))
-        chunks = chunk_indices(range(len(cells)), batch)
-        marker_lists = list(
-            pool.map(
-                execute_cell_batch,
-                [[cells[i] for i in chunk] for chunk in chunks],
-            )
-        )
-        results: list = [None] * len(cells)
-        for chunk, markers in zip(chunks, marker_lists):
-            for index, (status, value) in zip(chunk, markers):
-                if status == "error":
-                    raise CellExecutionError(str(value))
-                results[index] = value
-        return results
+        return list(pool.map(execute_cell, cells))
     except CellExecutionError:
         raise  # the worker raised cleanly; its pool is still usable
     except Exception:
@@ -324,7 +288,7 @@ def run_cells(
         raise
     finally:
         if healthy:
-            manager.release(pool, start_method, workers)
+            manager.release(pool, workers)
         else:
             manager.discard(pool)
             try:

@@ -1,37 +1,31 @@
 """Persistent warmed worker pools shared across grid dispatches.
 
 Spawning a worker process costs a fresh interpreter plus the whole
-``repro`` import chain — tens to hundreds of milliseconds — and the
-historical runners paid it on *every* ``run_cells`` call: a CLI command
-that renders three artefacts spawned (and discarded) three pools.  This
-module makes that cost once-per-process:
+``repro`` import chain — tens to hundreds of milliseconds.  This module
+pays that cost once per process rather than once per grid dispatch:
 
 * :class:`PoolManager` keeps one warmed :class:`ProcessPoolExecutor`
-  per ``(start_method, workers)`` shape and leases it out to grid
-  dispatches.  Releasing a leased pool parks it for the next dispatch
-  instead of shutting it down; an interpreter-exit hook tears every
-  parked pool down.
+  per worker count and leases it out to grid dispatches.  Releasing a
+  leased pool parks it for the next dispatch instead of shutting it
+  down; an interpreter-exit hook tears every parked pool down.
 * Every worker runs :func:`warm_worker` at spawn, which pre-imports the
   heavy measurement modules so the first real cell pays no import tax —
   and per-cell timeouts measure the cell, not the spawn.
-* :func:`worker_state` gives cell functions a per-worker memo for
-  shared *read-only* state (decoded presets, domain-knowledge tables),
-  keyed by a caller-chosen fingerprint, so consecutive cells on one
-  worker stop rebuilding identical inputs.  The cache lives in a
-  module global of the worker process; nothing about it is visible to,
-  or shipped from, the parent.
+
+Workers are always started with ``spawn``: fork-safety of numpy's
+thread pools is not worth trusting, and cells resolve their task by
+name after a fresh import anyway.
 
 Pools are an *isolation* resource as much as a speed one: the
 supervisor must be able to kill a pool that holds a hung or crashed
 worker.  A killed or broken pool is therefore **discarded**, never
-parked — :meth:`PoolManager.discard` removes it from the registry so
+parked — :meth:`PoolManager.discard` removes it from the lease table so
 the next lease builds a fresh one.
 
 Determinism is unaffected by reuse.  Cells are pure functions of their
 payloads (every seed ships in the payload), so whether two cells run in
 one long-lived worker or two fresh ones cannot change a single byte of
-any result; ``tests/evalsuite/test_pool.py`` pins this by running the
-same cells through persistent and fresh pools.
+any result.
 """
 
 from __future__ import annotations
@@ -40,15 +34,9 @@ import atexit
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
-__all__ = [
-    "POOL_MODES",
-    "PoolManager",
-    "get_pool_manager",
-    "warm_worker",
-    "worker_state",
-]
+__all__ = ["PoolManager", "get_pool_manager", "warm_worker"]
 
-POOL_MODES = ("persistent", "fresh")
+_START_METHOD = "spawn"
 
 # Modules pre-imported by every warmed worker. The list is the import
 # closure the evaluation cells actually touch; importing it here moves
@@ -60,10 +48,6 @@ _WARM_IMPORTS = (
     "repro.dram.presets",
     "repro.machine.machine",
 )
-
-# Per-worker memo for shared read-only state; see :func:`worker_state`.
-# Lives in the *worker* process — the parent's copy stays empty.
-_WORKER_STATE: dict = {}
 
 
 def warm_worker() -> None:
@@ -79,95 +63,62 @@ def warm_worker() -> None:
         import_module(name)
 
 
-def worker_state(key, builder):
-    """Per-worker memo: build once, reuse for every later cell.
-
-    ``key`` must capture *everything* the built value depends on (a
-    preset name, a config fingerprint); ``builder`` is a zero-argument
-    callable producing the value.  The value must be treated as
-    read-only by every cell — mutating it would couple a cell's result
-    to which cells ran before it on the same worker, breaking the
-    bit-identical-to-serial guarantee the grid runners promise.
-
-    Safe in the serial path too: it memoises in the calling process.
-    """
-    try:
-        return _WORKER_STATE[key]
-    except KeyError:
-        value = _WORKER_STATE[key] = builder()
-        return value
-
-
-def clear_worker_state() -> None:
-    """Drop every memoised value (test hook)."""
-    _WORKER_STATE.clear()
-
-
 class PoolManager:
-    """Registry of warmed process pools, one per ``(start_method, workers)``.
+    """Registry of warmed process pools, one per worker count.
 
-    ``lease`` hands out a parked pool when one of the right shape exists
+    ``lease`` hands out a parked pool when one of the right size exists
     and is healthy, else builds a fresh one; ``release`` parks it again.
-    A pool leased in ``"fresh"`` mode is never parked — release shuts it
-    down — which reproduces the historical spawn-per-dispatch behaviour
-    for benchmarking and for callers that must not share workers.
     """
 
     def __init__(self) -> None:
-        self._parked: dict[tuple[str, int], ProcessPoolExecutor] = {}
-        self._modes: dict[int, str] = {}
+        self._parked: dict[int, ProcessPoolExecutor] = {}
+        self._leased: set[int] = set()
 
     # ------------------------------------------------------------- lifecycle
 
-    def lease(
-        self,
-        workers: int,
-        start_method: str,
-        mode: str = "persistent",
-    ) -> ProcessPoolExecutor:
+    def lease(self, workers: int) -> ProcessPoolExecutor:
         """A warmed pool of exactly ``workers`` workers, ready to submit to."""
-        if mode not in POOL_MODES:
-            raise ValueError(f"pool mode must be one of {POOL_MODES}, got {mode!r}")
-        key = (start_method, workers)
-        pool = self._parked.pop(key, None) if mode == "persistent" else None
+        pool = self._parked.pop(workers, None)
         if pool is not None and _pool_broken(pool):
             _shutdown_pool(pool)
             pool = None
         if pool is None:
             pool = ProcessPoolExecutor(
                 max_workers=workers,
-                mp_context=get_context(start_method),
+                mp_context=get_context(_START_METHOD),
                 initializer=warm_worker,
             )
-        self._modes[id(pool)] = mode
+        self._leased.add(id(pool))
         return pool
 
-    def release(self, pool: ProcessPoolExecutor, start_method: str, workers: int) -> None:
-        """Return a leased pool: park it (persistent) or shut it down (fresh).
+    def release(self, pool: ProcessPoolExecutor, workers: int) -> None:
+        """Return a leased pool and park it for the next lease.
 
         A broken pool must go through :meth:`discard` instead; release
-        detects breakage defensively and discards rather than parking a
-        corpse for the next caller to trip over.
+        detects breakage (or a pool no longer on lease) defensively and
+        shuts it down rather than parking a corpse for the next caller
+        to trip over.
         """
-        mode = self._modes.pop(id(pool), "fresh")
-        if mode != "persistent" or _pool_broken(pool):
+        leased = id(pool) in self._leased
+        self._leased.discard(id(pool))
+        if not leased or _pool_broken(pool):
             _shutdown_pool(pool)
             return
-        previous = self._parked.get((start_method, workers))
+        previous = self._parked.get(workers)
         if previous is not None and previous is not pool:
             _shutdown_pool(previous)
-        self._parked[(start_method, workers)] = pool
+        self._parked[workers] = pool
 
     def discard(self, pool: ProcessPoolExecutor) -> None:
         """Forget a leased pool without parking it (caller kills it)."""
-        self._modes.pop(id(pool), None)
+        self._leased.discard(id(pool))
 
     def shutdown_all(self) -> None:
         """Shut down every parked pool (interpreter exit / test teardown)."""
         for pool in list(self._parked.values()):
             _shutdown_pool(pool)
         self._parked.clear()
-        self._modes.clear()
+        self._leased.clear()
 
     # ------------------------------------------------------------ inspection
 

@@ -50,13 +50,7 @@ from pathlib import Path
 from repro.faults.recovery import DegradationEvent
 from repro.obs import telemetry
 from repro.obs import tracing as obs
-from repro.parallel.batching import (
-    chunk_indices,
-    execute_cell_batch,
-    resolve_batch_cells,
-)
 from repro.parallel.grid import (
-    DEFAULT_START_METHOD,
     GridCell,
     execute_cell,
     fingerprint_cell,
@@ -84,17 +78,17 @@ _WARMUP_CELL = GridCell("repro.faults.gridfaults:echo_cell", {})
 _WARMUP_TIMEOUT_SECONDS = 60.0
 
 
-def _spawn_pool(workers: int, start_method: str, pool_mode: str) -> ProcessPoolExecutor:
+def _spawn_pool(workers: int) -> ProcessPoolExecutor:
     """Lease a pool and warm every worker (spawn + package import).
 
     Pools come from the process-wide
-    :class:`~repro.parallel.pool.PoolManager`; in ``"persistent"`` mode a
-    pool parked by an earlier dispatch is reused, its workers already
-    spawned and imported, and the echo warmups below complete in
-    microseconds.  Fresh workers pay the spawn here, once, so per-cell
-    timeouts measure cell execution rather than spawn + import cost.
+    :class:`~repro.parallel.pool.PoolManager`; a pool parked by an earlier
+    dispatch is reused, its workers already spawned and imported, and the
+    echo warmups below complete in microseconds.  Fresh workers pay the
+    spawn here, once, so per-cell timeouts measure cell execution rather
+    than spawn + import cost.
     """
-    pool = get_pool_manager().lease(workers, start_method, pool_mode)
+    pool = get_pool_manager().lease(workers)
     warmups = [pool.submit(execute_cell, _WARMUP_CELL) for _ in range(workers)]
     for future in warmups:
         try:
@@ -233,11 +227,8 @@ class GridOutcome:
 def run_cells_supervised(
     cells: Sequence[GridCell],
     jobs: int | None = None,
-    start_method: str = DEFAULT_START_METHOD,
     policy: GridPolicy | None = None,
     journal: CheckpointJournal | str | Path | None = None,
-    batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> GridOutcome:
     """Execute ``cells`` under supervision and return a :class:`GridOutcome`.
 
@@ -248,13 +239,6 @@ def run_cells_supervised(
     cells already present in the journal are skipped, so an interrupted
     run resumed over the same journal re-executes only the missing cells
     and still produces byte-identical artefacts.
-
-    ``batch_cells`` > 1 ships chunks of consecutive cells as single pool
-    tasks (first-wave submissions only — every retry, quarantine and
-    timeout re-run goes solo so per-cell attribution semantics are
-    unchanged); batch results are un-bundled into the same per-cell
-    journal entries and result slots the unbatched run writes.
-    ``pool_mode`` selects persistent (reused, warmed) or fresh pools.
     """
     policy = policy if policy is not None else GridPolicy()
     if journal is not None and not isinstance(journal, CheckpointJournal):
@@ -328,18 +312,8 @@ def run_cells_supervised(
         workers = min(requested, len(pending))
         runner = _run_pooled if requested > 1 else _run_serial
         runner(
-            cells,
-            fingerprints,
-            pending,
-            workers,
-            start_method,
-            policy,
-            checkpoint,
-            failures,
-            events,
-            resolve_batch_cells(batch_cells),
-            pool_mode,
-            report,
+            cells, fingerprints, pending, workers, policy, checkpoint,
+            failures, events, report,
         )
 
     ordered_failures = [failures[index] for index in sorted(failures)]
@@ -367,8 +341,8 @@ def _failure(
 
 
 def _run_serial(
-    cells, fingerprints, pending, workers, start_method, policy, checkpoint,
-    failures, events, batch_cells=1, pool_mode="persistent", report=None,
+    cells, fingerprints, pending, workers, policy, checkpoint, failures,
+    events, report,
 ) -> None:
     """In-process supervised execution (no pool, no pickling).
 
@@ -387,8 +361,7 @@ def _run_serial(
                 cells, fingerprints, index, "run-deadline",
                 "run deadline expired before the cell started", 0,
             )
-            if report is not None:
-                report(index, "failed")
+            report(index, "failed")
             continue
         attempts = 0
         while True:
@@ -416,13 +389,11 @@ def _run_serial(
                 failures[index] = _failure(
                     cells, fingerprints, index, "error", str(error), attempts
                 )
-                if report is not None:
-                    report(index, "failed")
+                report(index, "failed")
                 break
             checkpoint(index, value)
             obs.observe("grid.cell_attempts", attempts)
-            if report is not None:
-                report(index, "ok")
+            report(index, "ok")
             break
 
 
@@ -448,8 +419,8 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _run_pooled(
-    cells, fingerprints, pending, workers, start_method, policy, checkpoint,
-    failures, events, batch_cells=1, pool_mode="persistent", report=None,
+    cells, fingerprints, pending, workers, policy, checkpoint, failures,
+    events, report,
 ) -> None:
     """Pooled supervised execution with respawn-on-death and timeouts.
 
@@ -462,19 +433,6 @@ def _run_pooled(
     serialization after each crash but guarantees one poison cell cannot
     burn its innocent neighbours' retry budgets — with ``retries=0`` the
     poison cell alone fails and every other cell still completes.
-
-    The in-flight unit is a *group* of cell indices. With
-    ``batch_cells`` <= 1 every group holds one cell and the behaviour is
-    exactly the historical per-cell protocol. Larger values chunk each
-    submission wave into groups shipped as one pool task
-    (:func:`~repro.parallel.batching.execute_cell_batch`), whose per-cell
-    markers are un-bundled on harvest into the same checkpoint calls and
-    retry decisions. Attribution stays per-cell: a crash quarantines every
-    member of every in-flight group for solo re-runs (as it always did for
-    single cells); a group that exceeds ``cell_timeout_s × len(group)``
-    cannot reveal *which* member hung, so its members are refunded and
-    quarantined too — the true hang then times out solo and is charged,
-    innocents complete. Quarantine and retry submissions are always solo.
     """
     deadline = (
         time.monotonic() + policy.run_deadline_s
@@ -486,17 +444,16 @@ def _run_pooled(
     waiting: dict[int, float] = {}  # index -> monotonic time it may resubmit
     quarantine: list[int] = []  # suspects re-run solo for crash attribution
     solo_index: int | None = None  # quarantined cell currently in flight
-    inflight: dict = {}  # future -> list of indices (the submitted group)
+    inflight: dict = {}  # future -> index
     started: dict = {}  # future -> monotonic time first observed running
     abandoned = False  # a still-running future was walked away from
-    pool = _spawn_pool(workers, start_method, pool_mode)
+    pool = _spawn_pool(workers)
 
     def fail(index: int, reason: str, detail: str) -> None:
         failures[index] = _failure(
             cells, fingerprints, index, reason, detail, attempts[index]
         )
-        if report is not None:
-            report(index, "failed")
+        report(index, "failed")
 
     def retry_or_fail(index: int, reason: str, detail: str) -> None:
         out_of_time = deadline is not None and time.monotonic() > deadline
@@ -521,7 +478,7 @@ def _run_pooled(
     def respawn(cause: str) -> None:
         nonlocal pool
         _kill_pool(pool)
-        pool = _spawn_pool(workers, start_method, pool_mode)
+        pool = _spawn_pool(workers)
         events.append(
             obs.note_event(
                 DegradationEvent(
@@ -533,37 +490,34 @@ def _run_pooled(
             )
         )
 
-    def settle(index: int, value: object) -> None:
-        checkpoint(index, value)
-        obs.observe("grid.cell_attempts", attempts[index])
-        if report is not None:
-            report(index, "ok")
-
     def harvest_or_crash(future, crashed: list[int]) -> None:
-        """Resolve one finished future: results, cell errors, or casualties."""
+        """Resolve one finished future: result, cell error, or casualty."""
         nonlocal solo_index
-        group = inflight.pop(future)
+        index = inflight.pop(future)
         started.pop(future, None)
-        if solo_index is not None and solo_index in group:
+        if index == solo_index:
             solo_index = None
         try:
             value = future.result(timeout=0)
         except (BrokenProcessPool, CancelledError):
-            crashed.extend(group)
+            crashed.append(index)
         except Exception as error:  # noqa: BLE001 - supervision boundary
-            # A group submission never raises per-cell errors (they come
-            # back as markers), so this future carried a single cell.
-            for index in group:
-                retry_or_fail(index, "error", str(error))
+            retry_or_fail(index, "error", str(error))
         else:
-            if len(group) == 1:
-                settle(group[0], value)
-            else:
-                for index, (status, payload) in zip(group, value):
-                    if status == "ok":
-                        settle(index, payload)
-                    else:
-                        retry_or_fail(index, "error", str(payload))
+            checkpoint(index, value)
+            obs.observe("grid.cell_attempts", attempts[index])
+            report(index, "ok")
+
+    def submit(index: int) -> bool:
+        """Submit one cell; respawn and report False on a dead pool."""
+        attempts[index] += 1
+        try:
+            inflight[pool.submit(execute_cell, cells[index])] = index
+        except BrokenProcessPool:
+            attempts[index] -= 1
+            respawn("pool broken at submission")
+            return False
+        return True
 
     try:
         while to_submit or inflight or waiting or quarantine:
@@ -573,15 +527,14 @@ def _run_pooled(
                 for index in to_submit + quarantine + list(waiting):
                     fail(index, "run-deadline", "run deadline expired")
                 late_crashes: list[int] = []
-                for future, group in list(inflight.items()):
+                for future, index in list(inflight.items()):
                     if future.done():
                         harvest_or_crash(future, late_crashes)
                     else:
                         inflight.pop(future)
                         started.pop(future, None)
                         abandoned = True  # its worker is still running
-                        for index in group:
-                            fail(index, "run-deadline", "run deadline expired")
+                        fail(index, "run-deadline", "run deadline expired")
                 for index in late_crashes:
                     fail(index, "run-deadline", "worker died at run deadline")
                 to_submit.clear()
@@ -594,42 +547,20 @@ def _run_pooled(
                     del waiting[index]
                     to_submit.append(index)
 
-            def submit(group: list[int]) -> bool:
-                """Submit one group; respawn and report False on a dead pool."""
-                for index in group:
-                    attempts[index] += 1
-                try:
-                    if len(group) == 1:
-                        future = pool.submit(execute_cell, cells[group[0]])
-                    else:
-                        future = pool.submit(
-                            execute_cell_batch, [cells[i] for i in group]
-                        )
-                    inflight[future] = group
-                except BrokenProcessPool:
-                    for index in group:
-                        attempts[index] -= 1
-                    respawn("pool broken at submission")
-                    return False
-                return True
-
             # Submission: quarantine runs solo (and blocks normal work so
-            # a crash is attributable); otherwise chunk everything ready
-            # into groups and fan out.
+            # a crash is attributable); otherwise fan out everything ready.
             if quarantine:
                 if not inflight:
                     index = quarantine.pop(0)
-                    if submit([index]):
+                    if submit(index):
                         solo_index = index
                     else:
                         quarantine.insert(0, index)
-            elif to_submit:
-                ready, to_submit = to_submit, []
-                groups = chunk_indices(ready, batch_cells)
-                for position, group in enumerate(groups):
-                    if not submit(group):
-                        for unsent in groups[position:]:
-                            to_submit.extend(unsent)
+            else:
+                while to_submit:
+                    index = to_submit.pop(0)
+                    if not submit(index):
+                        to_submit.insert(0, index)
                         break
 
             if not inflight:
@@ -661,11 +592,11 @@ def _run_pooled(
                     if future.done():
                         harvest_or_crash(future, crashed)
                     else:
-                        group = inflight.pop(future)
+                        index = inflight.pop(future)
                         started.pop(future, None)
-                        if solo_index is not None and solo_index in group:
+                        if index == solo_index:
                             solo_index = None
-                        crashed.extend(group)
+                        crashed.append(index)
                 respawn("worker death (BrokenProcessPool)")
                 if crashed == [was_solo]:
                     # The suspect crashed alone in the pool: definitive
@@ -683,14 +614,10 @@ def _run_pooled(
                     quarantine.sort()
                 continue
 
-            # Track execution starts and enforce the per-cell timeout
-            # (scaled by group size: a group of K cells legitimately runs
-            # up to K cell-budgets). A hung worker can only be killed by
-            # tearing the pool down, so on expiry the innocents in flight
-            # are refunded their attempt and resubmitted. A hung *group*
-            # cannot name its hung member: its members are refunded and
-            # quarantined for solo re-runs, where a real hang times out
-            # alone and is charged. A hung solo cell is charged directly.
+            # Track execution starts and enforce the per-cell timeout. A
+            # hung worker can only be killed by tearing the pool down, so
+            # on expiry the innocents in flight are refunded their attempt
+            # and resubmitted while the hung cell is charged.
             now = time.monotonic()
             for future in list(inflight):
                 if future not in started and future.running():
@@ -700,74 +627,45 @@ def _run_pooled(
                     future
                     for future, began in started.items()
                     if future in inflight
-                    and now - began > policy.cell_timeout_s * len(inflight[future])
+                    and now - began > policy.cell_timeout_s
                 ]
                 if hung:
-                    hung_groups = [inflight[future] for future in hung]
+                    hung_indices = [inflight.pop(future) for future in hung]
                     for future in hung:
-                        inflight.pop(future)
                         started.pop(future, None)
                     innocents: list[int] = []
-                    for future, group in list(inflight.items()):
+                    for future, index in list(inflight.items()):
                         if future.done():
                             harvest_or_crash(future, crashed=[])
                         else:
                             inflight.pop(future)
                             started.pop(future, None)
-                            for index in group:
-                                attempts[index] -= 1  # refund: not their fault
-                                innocents.append(index)
+                            attempts[index] -= 1  # refund: not their fault
+                            innocents.append(index)
                     respawn(
                         "cell timeout: "
-                        + ", ".join(
-                            cells[i].task for group in hung_groups for i in group
-                        )
+                        + ", ".join(cells[i].task for i in hung_indices)
                     )
-                    for group in hung_groups:
-                        if len(group) == 1:
-                            index = group[0]
-                            events.append(
-                                obs.note_event(
-                                    DegradationEvent(
-                                        step="grid",
-                                        action="timeout",
-                                        attempt=attempts[index],
-                                        detail=(
-                                            f"{cells[index].task} exceeded "
-                                            f"{policy.cell_timeout_s:g}s"
-                                        ),
-                                        span=obs.current_path(),
-                                    )
+                    for index in hung_indices:
+                        events.append(
+                            obs.note_event(
+                                DegradationEvent(
+                                    step="grid",
+                                    action="timeout",
+                                    attempt=attempts[index],
+                                    detail=(
+                                        f"{cells[index].task} exceeded "
+                                        f"{policy.cell_timeout_s:g}s"
+                                    ),
+                                    span=obs.current_path(),
                                 )
                             )
-                            retry_or_fail(
-                                index,
-                                "timeout",
-                                "exceeded cell timeout of "
-                                f"{policy.cell_timeout_s:g}s",
-                            )
-                        else:
-                            events.append(
-                                obs.note_event(
-                                    DegradationEvent(
-                                        step="grid",
-                                        action="timeout",
-                                        attempt=max(
-                                            attempts[i] for i in group
-                                        ),
-                                        detail=(
-                                            f"batch of {len(group)} cells "
-                                            "exceeded "
-                                            f"{policy.cell_timeout_s * len(group):g}s"
-                                        ),
-                                        span=obs.current_path(),
-                                    )
-                                )
-                            )
-                            for index in group:
-                                attempts[index] -= 1  # ambiguity refund
-                                quarantine.append(index)
-                            quarantine.sort()
+                        )
+                        retry_or_fail(
+                            index,
+                            "timeout",
+                            f"exceeded cell timeout of {policy.cell_timeout_s:g}s",
+                        )
                     to_submit.extend(innocents)
     finally:
         # A pool is only parkable when it is provably idle and healthy:
@@ -777,4 +675,4 @@ def _run_pooled(
         if abandoned or inflight or getattr(pool, "_broken", False):
             _kill_pool(pool)
         else:
-            get_pool_manager().release(pool, start_method, workers)
+            get_pool_manager().release(pool, workers)

@@ -52,7 +52,6 @@ from repro.machine.machine import SimulatedMachine
 from repro.obs import telemetry
 from repro.obs import tracing as obs
 from repro.parallel import (
-    DEFAULT_START_METHOD,
     CellFailure,
     CheckpointJournal,
     GridCell,
@@ -392,11 +391,8 @@ class CampaignOutcome:
 def run_campaign(
     spec: CampaignSpec,
     jobs: int | None = None,
-    start_method: str = DEFAULT_START_METHOD,
     supervision: GridPolicy | None = None,
     journal: CheckpointJournal | str | Path | None = None,
-    batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> CampaignOutcome:
     """Run the sweep through the shared grid dispatch seam.
 
@@ -432,9 +428,7 @@ def run_campaign(
         len(spec.mitigations),
     )
     results = execute_grid(
-        cells, jobs=jobs, start_method=start_method,
-        supervision=supervision, journal=journal,
-        batch_cells=batch_cells, pool_mode=pool_mode,
+        cells, jobs=jobs, supervision=supervision, journal=journal
     )
     completed = sum(1 for r in results if isinstance(r, CampaignResult))
     _LOG.info(

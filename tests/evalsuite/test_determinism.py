@@ -39,6 +39,18 @@ def test_drama_row_accounts_for_every_run():
     assert sum(drama.outputs.values()) == drama.completed
 
 
+def test_custom_configs_match_across_jobs():
+    """Tool configs ship in the cells, so a pooled study matches serial."""
+    study = dict(
+        machine_name="No.4",
+        runs=2,
+        seed=1,
+        dramdig_config=FAST_DRAMDIG,
+        drama_config=FAST_DRAMA,
+    )
+    assert run_determinism(**study, jobs=2) == run_determinism(**study, jobs=1)
+
+
 def test_render():
     rows = run_determinism(
         machine_name="No.4",

@@ -80,8 +80,17 @@ class TestLookalikeFleet:
     def test_scaling_curve_strictly_decreasing(self, outcome):
         curve = outcome.scaling_curve()
         assert len(curve) >= 2
-        costs = [point["amortized_measurements"] for point in curve]
-        assert all(late < early for early, late in zip(costs, costs[1:]))
+        for key in ("amortized_measurements", "amortized_sim_seconds"):
+            costs = [point[key] for point in curve]
+            assert all(late < early for early, late in zip(costs, costs[1:])), key
+
+    def test_store_amortizes_the_cold_start(self, outcome):
+        # The one cold-start machine pays the full search; with the store
+        # warm, the fleet's mean probe cost must be at least 2x cheaper.
+        results = outcome.results
+        (cold,) = [result for result in results if result.outcome == "cold"]
+        mean = sum(result.measurements for result in results) / len(results)
+        assert cold.measurements >= 2 * mean
 
     def test_store_learned_one_family(self, outcome):
         assert outcome.store_entries == 1

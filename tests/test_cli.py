@@ -107,9 +107,7 @@ def test_grid_flags_build_supervision(monkeypatch, capsys):
 
     seen = {}
 
-    def fake_run_table1(
-        seed, jobs, supervision, journal, batch_cells=None, pool_mode="persistent"
-    ):
+    def fake_run_table1(seed, jobs, supervision, journal):
         seen.update(
             seed=seed, jobs=jobs, supervision=supervision, journal=journal
         )
@@ -132,55 +130,13 @@ def test_grid_flags_build_supervision(monkeypatch, capsys):
     assert seen["supervision"].run_deadline_s is None
 
 
-def test_batch_cells_rejects_non_positive(capsys):
-    for bad in ("0", "-2", "abc"):
-        with pytest.raises(SystemExit):
-            main(["table1", "--batch-cells", bad])
-    assert "--batch-cells" in capsys.readouterr().err
-
-
-def test_pool_mode_rejects_unknown_choice(capsys):
-    with pytest.raises(SystemExit):
-        main(["table1", "--pool-mode", "warm"])
-    assert "--pool-mode" in capsys.readouterr().err
-
-
-def test_batching_flags_reach_the_runner(monkeypatch, capsys):
-    import repro.cli as cli
-    from repro.evalsuite.table1 import ToolVerdict
-
-    seen = {}
-
-    def fake_run_table1(
-        seed, jobs, supervision, journal, batch_cells=None, pool_mode="persistent"
-    ):
-        seen.update(batch_cells=batch_cells, pool_mode=pool_mode)
-        return [
-            ToolVerdict(
-                tool="DRAMDig", generic=True, efficient=True,
-                deterministic=True, successes=1, panel_size=1,
-                median_seconds=1.0,
-            )
-        ]
-
-    monkeypatch.setattr(cli, "run_table1", fake_run_table1)
-    assert main(["table1", "--batch-cells", "3", "--pool-mode", "fresh"]) == 0
-    assert seen["batch_cells"] == 3
-    assert seen["pool_mode"] == "fresh"
-    assert main(["table1"]) == 0
-    assert seen["batch_cells"] is None
-    assert seen["pool_mode"] == "persistent"
-
-
 def test_resume_alone_enables_supervision(monkeypatch, capsys):
     import repro.cli as cli
     from repro.evalsuite.table1 import ToolVerdict
 
     seen = {}
 
-    def fake_run_table1(
-        seed, jobs, supervision, journal, batch_cells=None, pool_mode="persistent"
-    ):
+    def fake_run_table1(seed, jobs, supervision, journal):
         seen.update(supervision=supervision, journal=journal)
         return [
             ToolVerdict(
@@ -202,9 +158,7 @@ def test_default_grid_flags_keep_fail_fast_path(monkeypatch, capsys):
 
     seen = {}
 
-    def fake_run_table1(
-        seed, jobs, supervision, journal, batch_cells=None, pool_mode="persistent"
-    ):
+    def fake_run_table1(seed, jobs, supervision, journal):
         seen.update(supervision=supervision, journal=journal)
         return [
             ToolVerdict(
@@ -224,9 +178,7 @@ def test_partial_table1_exits_nonzero(monkeypatch, capsys):
     import repro.cli as cli
     from repro.evalsuite.table1 import ToolVerdict
 
-    def fake_run_table1(
-        seed, jobs, supervision, journal, batch_cells=None, pool_mode="persistent"
-    ):
+    def fake_run_table1(seed, jobs, supervision, journal):
         return [
             ToolVerdict(
                 tool="DRAMDig", generic=False, efficient=True,
