@@ -1,38 +1,48 @@
 #!/usr/bin/env python
-"""CI smoke test: SIGKILL a grid run mid-flight, resume it, diff the output.
+"""Crash-safety smoke: SIGKILL each workload mid-flight, resume it, replay it.
 
-The deterministic regression for resume lives in
-``tests/evalsuite/test_resume.py`` (it truncates a journal instead of
-racing a kill). This script is the end-to-end variant with a real
-``SIGKILL``:
+The test suite checks resume by truncating a journal
+(``tests/evalsuite/test_resume.py``, ``tests/rowhammer/test_campaign.py``,
+``tests/fleet/test_orchestrator.py``). This script races a real
+``SIGKILL`` against the ``dramdig`` CLI instead, running one flow over
+every entry of :data:`WORKLOADS`:
 
-1. render Table I once, uninterrupted, as the reference — traced, and
-   recording a ``--history`` entry;
-2. start the same run as a subprocess with ``--resume <journal>`` and
-   ``--telemetry <stream>``, tail the live stream while waiting, and
-   kill -9 the victim as soon as the journal holds at least one
-   checkpoint but before it can hold all of them;
-3. re-run the same command to completion over the same journal and the
-   same telemetry stream, with ``--trace`` capturing the resumed run's
-   merged span trace and ``--history`` appending a second entry;
-4. gates: the resumed output must be byte-identical to the reference;
-   the journal must show the resumed run started from the survivors;
-   the telemetry stream must show heartbeat continuity (events before
-   the kill landed, every line but at most a torn final one parseable,
-   a closing ``run-end`` from the resumed process); ``dramdig trace
-   summary --strict`` must accept the completed resumed trace;
-   ``dramdig obs diff`` over the reference/resumed trace pair must
-   exit 0 (cached subtrees excluded, no phantom regression); and
-   ``dramdig obs history --check`` must pass over the recorded entries.
+1. *reference*: run uninterrupted, without a journal, with ``--trace``
+   and ``--history H``;
+2. *victim*: run with ``--resume J`` and ``--telemetry S`` (plus
+   ``--knowledge-store K`` where the workload takes one), and kill -9
+   it once ``J`` holds more records than the workload's baseline;
+3. *resumed*: run again over the same ``J``, ``S`` and ``K``, with
+   ``--trace`` and ``--history H``;
+4. *replay*: run a fourth time over the completed ``J`` and ``K``, with
+   ``--trace``.
 
-Exit code 0 on success. The kill is inherently racy — if the victim
-finishes before the kill lands (tiny grids on a fast machine), the run
-still validates byte-identity and reports that the kill was skipped.
+Gates, on every workload:
 
-``--artifacts DIR`` keeps the traces, the telemetry stream,
-``history.jsonl`` and the rendered summary/diff in DIR instead of the
-throwaway scratch directory, so CI can upload them as a workflow
-artifact.
+* the resumed and replay stdout, and the ``--out`` file where the
+  workload writes one, are byte-identical to the reference;
+* the kill left at least one cell record in ``J`` beyond the baseline;
+* telemetry continuity: an event reached ``S`` before the kill, at most
+  one line of ``S`` fails to parse, the last event is a ``run-end``
+  with code 0, and the events come from at least two processes;
+* ``dramdig trace summary --strict`` accepts the resumed and replay
+  traces;
+* nothing ran twice: the resumed trace shows exactly as many ``CACHED``
+  cells as there were survivors (cell records in ``J`` at the kill);
+* ``dramdig obs diff`` finds no regression from reference to resumed;
+* ``dramdig obs history H --check`` passes;
+* the replay trace's metric counters are exactly
+  ``{"grid.cells_resumed": N}``, N being the cell records in ``J``.
+
+The kill is racy. If the victim finishes before it lands, the three
+gates that need a kill (the checkpoint, the event before it and the
+second process) are skipped and the rest still run. Every workload runs
+even after one fails; the script prints one verdict line per workload
+and exits 1 if any gate failed.
+
+``--artifacts DIR`` keeps each workload's journal, store, stream,
+history, traces, outputs, summaries and diff in ``DIR/<workload>``
+instead of a throwaway directory, so CI can upload them.
 """
 
 from __future__ import annotations
@@ -45,229 +55,236 @@ import subprocess
 import sys
 import tempfile
 import time
+import traceback
+from dataclasses import dataclass
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-CMD = [sys.executable, "-m", "repro", "table1"]
-POLL_SECONDS = 0.05
-KILL_AFTER_RECORDS = 1
+ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+CLI = (sys.executable, "-m", "repro")
+POLL_SECONDS = 0.005  # the whole fleet finishes in a few seconds
 TIMEOUT_SECONDS = 600.0
 
 
-def _env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    return env
+@dataclass(frozen=True)
+class Workload:
+    """One ``dramdig`` command under test; data only, the flow is shared."""
+
+    name: str  # verdict label and artifact subdirectory
+    argv: tuple[str, ...]  # the subcommand and its arguments
+    out: bool = False  # writes an --out artifact
+    store: bool = False  # takes a --knowledge-store
+    baseline: int = 0  # journal records written before the first cell
 
 
-def _run_to_completion(
-    journal: Path | None,
-    trace: Path | None = None,
-    telemetry: Path | None = None,
-    history: Path | None = None,
-) -> str:
-    # Global flags (--telemetry/--history) go before the subcommand,
-    # per-run flags (--resume/--trace) after it.
-    prefix = []
-    if telemetry is not None:
-        prefix += ["--telemetry", str(telemetry)]
-    if history is not None:
-        prefix += ["--history", str(history)]
-    cmd = CMD[:-1] + prefix + CMD[-1:]
-    if journal is not None:
-        cmd += ["--resume", str(journal)]
-    if trace is not None:
-        cmd += ["--trace", str(trace)]
-    result = subprocess.run(
-        cmd, cwd=REPO, env=_env(), capture_output=True, text=True,
-        timeout=TIMEOUT_SECONDS, check=True,
-    )
-    return result.stdout
+WORKLOADS = (
+    Workload("table1", ("table1",)),
+    Workload(
+        "campaign",
+        ("campaign", "run", "--machines", "No.1", "No.2",
+         "--variants", "double_sided", "many_sided_6",
+         "--mitigations", "none", "trr", "--tests", "1", "--duration", "120"),
+        out=True,
+    ),
+    # The fleet journals its knowledge-store snapshot before any machine.
+    Workload(
+        "fleet",
+        ("fleet", "run", "--fleet-size", "9", "--families", "3",
+         "--profile", "adversarial", "--max-gib", "8", "--wave", "2"),
+        out=True, store=True, baseline=1,
+    ),
+)
 
 
-def _stream_lines(stream: Path) -> tuple[list[dict], int]:
-    """Parsed telemetry events and the count of unparseable lines.
+def read_jsonl(path: Path) -> tuple[list[dict], int]:
+    """The JSON objects of a JSONL file and the count of lines that are not.
 
-    Parsed inline (not via ``repro.obs.telemetry``) so the smoke script
-    exercises the on-disk format the way an external consumer would.
+    Parsed inline, not through ``repro``, so the gates read the journal,
+    the telemetry stream and the trace the way an outside consumer would.
     """
-    if not stream.exists():
+    if not path.exists():
         return [], 0
-    events, torn = [], 0
-    for line in stream.read_text(encoding="utf-8").splitlines():
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            torn += 1
-            continue
-        if isinstance(event, dict) and "kind" in event:
-            events.append(event)
-        else:
-            torn += 1
-    return events, torn
-
-
-def _journal_records(journal: Path) -> int:
-    if not journal.exists():
-        return 0
-    count = 0
-    for line in journal.read_text().splitlines():
+    records, torn = [], 0
+    for line in path.read_text(encoding="utf-8").splitlines():
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict) and "fingerprint" in record:
-            count += 1
-    return count
+            record = None
+        if isinstance(record, dict):
+            records.append(record)
+        else:
+            torn += 1
+    return records, torn
+
+
+def cell_records(journal: Path) -> int:
+    return sum("fingerprint" in record for record in read_jsonl(journal)[0])
+
+
+def dramdig(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [*CLI, *argv], cwd=REPO, env=ENV,
+        capture_output=True, text=True, timeout=TIMEOUT_SECONDS,
+    )
+
+
+def command(work: Workload, root: Path, role: str, journal: bool = False,
+            telemetry: bool = False, history: bool = False,
+            trace: bool = False) -> list[str]:
+    """One run's argv; global flags go before the subcommand."""
+    argv = ["--telemetry", str(root / "telemetry.jsonl")] if telemetry else []
+    argv += ["--history", str(root / "history.jsonl")] if history else []
+    argv += work.argv
+    argv += ["--out", str(root / f"{role}.out")] if work.out else []
+    if journal:
+        argv += ["--resume", str(root / "journal.jsonl")]
+        argv += ["--knowledge-store", str(root / "store.jsonl")] if work.store else []
+    argv += ["--trace", str(root / f"{role}-trace.jsonl")] if trace else []
+    return argv
+
+
+def complete(role: str, argv: list[str]) -> str:
+    """Run to completion and return stdout; a failed run aborts the flow."""
+    start = time.monotonic()
+    result = dramdig(*argv)
+    print(f"  {role:<9} {time.monotonic() - start:6.1f} s", flush=True)
+    if result.returncode != 0:
+        raise RuntimeError(f"{role} run exited {result.returncode}:\n"
+                           + result.stderr[-2000:])
+    return result.stdout
+
+
+def kill_once_checkpointed(argv: list[str], journal: Path, baseline: int) -> int:
+    """Run the victim, SIGKILL it once it journals a cell; its exit code."""
+    start = time.monotonic()
+    victim = subprocess.Popen(
+        [*CLI, *argv], cwd=REPO, env=ENV,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        while victim.poll() is None:
+            if cell_records(journal) > baseline:
+                victim.send_signal(signal.SIGKILL)
+                victim.wait(timeout=30)
+                break
+            if time.monotonic() - start > TIMEOUT_SECONDS:
+                raise TimeoutError("victim neither checkpointed nor finished")
+            time.sleep(POLL_SECONDS)
+    finally:
+        if victim.poll() is None:
+            victim.kill()
+            victim.wait()
+    print(f"  {'victim':<9} {time.monotonic() - start:6.1f} s", flush=True)
+    return victim.returncode
+
+
+def run_workload(work: Workload, root: Path) -> tuple[list[str], str]:
+    """Drive one workload through the flow; (failed gates, outcome)."""
+    failures: list[str] = []
+
+    def gate(ok: bool, message: str) -> None:
+        if not ok:
+            failures.append(message)
+            print(f"  FAIL: {message}", flush=True)
+
+    root.mkdir(parents=True)
+    journal, stream = root / "journal.jsonl", root / "telemetry.jsonl"
+    reference = complete("reference", command(work, root, "reference",
+                                              history=True, trace=True))
+
+    code = kill_once_checkpointed(
+        command(work, root, "victim", journal=True, telemetry=True),
+        journal, work.baseline,
+    )
+    killed = code == -signal.SIGKILL
+    survivors = cell_records(journal) - work.baseline
+    heartbeats = len(read_jsonl(stream)[0])
+    if killed:
+        gate(survivors >= 1, "the kill landed before any cell checkpoint")
+        gate(heartbeats >= 1, "no telemetry event reached the stream "
+                              "before the kill")
+    else:
+        gate(code == 0, f"the victim exited {code} on its own")
+
+    outputs = {
+        "resumed": complete("resumed", command(
+            work, root, "resumed", journal=True, telemetry=True,
+            history=True, trace=True)),
+        "replay": complete("replay", command(
+            work, root, "replay", journal=True, trace=True)),
+    }
+    summaries = {}
+    for role, stdout in outputs.items():
+        gate(stdout == reference, f"{role} stdout differs from the reference")
+        if work.out:
+            gate((root / f"{role}.out").read_bytes()
+                 == (root / "reference.out").read_bytes(),
+                 f"{role} --out file differs from the reference")
+        summary = dramdig("trace", "summary", "--strict",
+                          str(root / f"{role}-trace.jsonl"))
+        (root / f"{role}-summary.txt").write_text(summary.stdout + summary.stderr)
+        gate(summary.returncode == 0,
+             f"trace summary --strict rejected the {role} trace")
+        summaries[role] = summary.stdout
+
+    events, torn = read_jsonl(stream)
+    last = events[-1] if events else {}
+    pids = {event["pid"] for event in events if "pid" in event}
+    gate(torn <= 1, f"{torn} telemetry lines fail to parse (one torn line "
+                    "from the kill is tolerated)")
+    gate(last.get("kind") == "run-end" and last.get("code") == 0,
+         "the telemetry stream does not end with a clean run-end")
+    if killed:
+        gate(len(pids) >= 2, "telemetry events come from one process only")
+
+    cached = summaries["resumed"].count("CACHED")
+    gate(cached == survivors, f"{survivors} survivor(s) but {cached} CACHED "
+                              "cell(s) in the resumed trace: a cell ran twice")
+
+    diff = dramdig("obs", "diff", str(root / "reference-trace.jsonl"),
+                   str(root / "resumed-trace.jsonl"))
+    (root / "resumed-vs-reference-diff.txt").write_text(diff.stdout + diff.stderr)
+    gate(diff.returncode == 0, "obs diff found a regression from the "
+                               "reference to the resumed trace")
+    check = dramdig("obs", "history", str(root / "history.jsonl"), "--check")
+    gate(check.returncode == 0, "obs history --check flagged a regression")
+
+    metrics = [record for record in read_jsonl(root / "replay-trace.jsonl")[0]
+               if record.get("type") == "metrics"]
+    counters = metrics[0].get("counters") if metrics else None
+    expected = {"grid.cells_resumed": cell_records(journal) - work.baseline}
+    gate(counters == expected,
+         f"replay counters are {counters}, expected {expected}")
+
+    landed = (f"killed mid-flight with {survivors} survivor(s) and "
+              f"{heartbeats} event(s) streamed" if killed
+              else "victim finished before the kill landed")
+    return failures, (f"{landed}; {cached} CACHED on resume; replay counters "
+                      f"{json.dumps(counters, sort_keys=True)}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--artifacts", metavar="DIR", default=None,
-        help="keep the resumed run's trace and summary here (for CI upload)",
+        help="keep each workload's files in DIR/<workload> (for CI upload)",
     )
     args = parser.parse_args(argv)
+    failed, verdicts = False, []
     with tempfile.TemporaryDirectory(prefix="kill-resume-") as scratch:
-        journal = Path(scratch) / "table1.journal"
-        artifacts = Path(args.artifacts) if args.artifacts else Path(scratch)
-        artifacts.mkdir(parents=True, exist_ok=True)
-        trace_path = artifacts / "resumed-table1-trace.jsonl"
-        reference_trace = artifacts / "reference-table1-trace.jsonl"
-        stream = artifacts / "table1-telemetry.jsonl"
-        history = artifacts / "history.jsonl"
-
-        print("== reference run (uninterrupted, no journal) ==", flush=True)
-        reference = _run_to_completion(
-            None, trace=reference_trace, history=history
-        )
-
-        print("== victim run (will be SIGKILLed mid-flight) ==", flush=True)
-        victim = subprocess.Popen(
-            CMD[:-1] + ["--telemetry", str(stream)] + CMD[-1:]
-            + ["--resume", str(journal)],
-            cwd=REPO, env=_env(),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        deadline = time.monotonic() + TIMEOUT_SECONDS
-        killed = False
-        events_before_kill = 0
-        while time.monotonic() < deadline:
-            if victim.poll() is not None:
-                break
-            events_before_kill = len(_stream_lines(stream)[0])
-            if _journal_records(journal) >= KILL_AFTER_RECORDS:
-                victim.send_signal(signal.SIGKILL)
-                victim.wait(timeout=30)
-                killed = True
-                break
-            time.sleep(POLL_SECONDS)
-        else:
-            victim.kill()
-            print("FAIL: victim neither checkpointed nor finished in time")
-            return 1
-
-        survivors = _journal_records(journal)
-        if killed:
-            print(f"killed victim with {survivors} checkpointed cell(s)")
-            if survivors == 0:
-                print("FAIL: kill landed before any checkpoint")
-                return 1
-            if events_before_kill == 0:
-                print("FAIL: no telemetry heartbeat reached the stream "
-                      "before the kill landed")
-                return 1
-            print(f"tailed {events_before_kill} live event(s) before the kill")
-        else:
-            print("victim finished before the kill landed; "
-                  "validating byte-identity only")
-
-        print("== resumed run (traced, streaming) ==", flush=True)
-        resumed = _run_to_completion(
-            journal, trace=trace_path, telemetry=stream, history=history
-        )
-
-        if resumed != reference:
-            print("FAIL: resumed output differs from the uninterrupted run")
-            sys.stdout.write(resumed)
-            return 1
-        print(f"OK: resumed output is byte-identical "
-              f"({survivors} cell(s) survived the kill)")
-
-        print("== heartbeat continuity gate ==", flush=True)
-        events, torn = _stream_lines(stream)
-        if not events:
-            print("FAIL: telemetry stream is empty after the resumed run")
-            return 1
-        if torn > 1:
-            print(f"FAIL: {torn} unparseable stream lines (at most one "
-                  "torn final line from the kill is tolerated)")
-            return 1
-        if events[-1]["kind"] != "run-end" or events[-1].get("code") != 0:
-            print("FAIL: stream does not close with a clean run-end event")
-            return 1
-        pids = {event["pid"] for event in events if "pid" in event}
-        if killed and len(pids) < 2:
-            print("FAIL: stream holds events from one process only — the "
-                  "resumed run never picked the stream back up")
-            return 1
-        print(f"OK: {len(events)} event(s) across {len(pids)} process(es), "
-              f"{torn} torn line(s), clean run-end")
-
-        print("== trace summary gate (strict) ==", flush=True)
-        if not trace_path.exists():
-            print("FAIL: resumed run wrote no trace file")
-            return 1
-        summary = subprocess.run(
-            [sys.executable, "-m", "repro", "trace", "summary", "--strict",
-             str(trace_path)],
-            cwd=REPO, env=_env(), capture_output=True, text=True,
-            timeout=TIMEOUT_SECONDS,
-        )
-        (artifacts / "resumed-table1-trace-summary.txt").write_text(
-            summary.stdout
-        )
-        if summary.returncode != 0:
-            print("FAIL: strict trace summary gate rejected the trace")
-            sys.stdout.write(summary.stdout)
-            sys.stderr.write(summary.stderr)
-            return 1
-        cached = summary.stdout.count("CACHED")
-        print(f"OK: trace parsed and consistent "
-              f"({cached} cell(s) reported as cached from the journal)")
-
-        print("== obs diff gate (resumed vs reference) ==", flush=True)
-        diff = subprocess.run(
-            [sys.executable, "-m", "repro", "obs", "diff",
-             str(reference_trace), str(trace_path)],
-            cwd=REPO, env=_env(), capture_output=True, text=True,
-            timeout=TIMEOUT_SECONDS,
-        )
-        (artifacts / "resumed-vs-reference-diff.txt").write_text(diff.stdout)
-        if diff.returncode != 0:
-            print("FAIL: obs diff reported a regression between the "
-                  "reference and resumed traces")
-            sys.stdout.write(diff.stdout)
-            sys.stderr.write(diff.stderr)
-            return 1
-        print("OK: resumed trace diffs clean against the reference")
-
-        print("== history gate ==", flush=True)
-        check = subprocess.run(
-            [sys.executable, "-m", "repro", "obs", "history", str(history),
-             "--check"],
-            cwd=REPO, env=_env(), capture_output=True, text=True,
-            timeout=TIMEOUT_SECONDS,
-        )
-        if check.returncode != 0:
-            print("FAIL: obs history --check flagged a regression between "
-                  "the reference and resumed runs")
-            sys.stdout.write(check.stdout)
-            sys.stderr.write(check.stderr)
-            return 1
-        entries = sum(1 for _ in history.open()) if history.exists() else 0
-        print(f"OK: {entries} history entries recorded, no regressions")
-        return 0
+        base = Path(args.artifacts or scratch)
+        for work in WORKLOADS:
+            print(f"== {work.name} ==", flush=True)
+            try:
+                failures, outcome = run_workload(work, base / work.name)
+            except Exception as exc:  # one broken workload must not stop the rest
+                traceback.print_exc(file=sys.stdout)
+                failures, outcome = [repr(exc)], f"aborted by {type(exc).__name__}"
+            failed = failed or bool(failures)
+            verdict = f"FAIL ({len(failures)} gate(s))" if failures else "PASS"
+            verdicts.append(f"{work.name}: {verdict}; {outcome}")
+    print("== verdicts ==", *verdicts, sep="\n")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -24,9 +24,10 @@ from repro.baselines.drama import DramaConfig, DramaTool
 from repro.core.dramdig import DramDig, DramDigConfig
 from repro.dram.belief import BeliefMapping
 from repro.dram.presets import preset
-from repro.evalsuite.reporting import render_table
+from repro.evalsuite.gridrun import execute_grid
+from repro.evalsuite.reporting import render_failure_manifest, render_table
 from repro.machine.machine import SimulatedMachine
-from repro.parallel import GridCell, run_cells
+from repro.parallel import CellFailure, CheckpointJournal, GridCell, GridPolicy
 
 __all__ = ["DeterminismRow", "run_determinism", "render_determinism"]
 
@@ -45,6 +46,7 @@ class DeterminismRow:
             output.
         correct_fraction: share of completed runs hammer-equivalent to the
             ground truth.
+        failures: supervised runs that exhausted their attempts.
     """
 
     tool: str
@@ -55,6 +57,7 @@ class DeterminismRow:
     modal_fraction: float = 0.0
     correct_fraction: float = 0.0
     outputs: Counter = field(default_factory=Counter)
+    failures: list[CellFailure] = field(default_factory=list)
 
 
 def _canonical(belief: BeliefMapping) -> tuple:
@@ -93,9 +96,16 @@ def drama_run_cell(
 
 def _fold_rows(tool: str, machine_name: str, runs: int, records) -> DeterminismRow:
     """Aggregate per-run records in run order (Counter insertion order and
-    tie-breaking therefore match the original serial loop exactly)."""
+    tie-breaking therefore match the original serial loop exactly).
+
+    DRAMA's timeouts (``None``) and supervised failures do not count as
+    completed; the failures are kept for the renderer's manifest.
+    """
     row = DeterminismRow(tool=tool, machine=machine_name, runs=runs)
     for record in records:
+        if isinstance(record, CellFailure):
+            row.failures.append(record)
+            continue
         if record is None:
             continue
         row.completed += 1
@@ -115,6 +125,8 @@ def run_determinism(
     dramdig_config: DramDigConfig | None = None,
     drama_config: DramaConfig | None = None,
     jobs: int | None = None,
+    supervision: GridPolicy | None = None,
+    journal: CheckpointJournal | str | None = None,
 ) -> list[DeterminismRow]:
     """Repeated-run study of DRAMDig and DRAMA on one machine.
 
@@ -127,7 +139,10 @@ def run_determinism(
 
     One grid cell per (tool, run), each carrying its tool config;
     ``jobs`` > 1 fans them out to worker processes with bit-identical
-    aggregation (records fold in run order).
+    aggregation (records fold in run order). With
+    ``supervision``/``journal`` the cells run crash-safe: journalled runs
+    are not repeated, and a failed run is left out of its row and listed
+    in the rendered failure manifest.
     """
     cells = [
         GridCell(
@@ -151,7 +166,9 @@ def run_determinism(
         )
         for run in range(runs)
     ]
-    records = run_cells(cells, jobs=jobs)
+    records = execute_grid(
+        cells, jobs=jobs, supervision=supervision, journal=journal
+    )
     return [
         _fold_rows("DRAMDig", machine_name, runs, records[:runs]),
         _fold_rows("DRAMA", machine_name, runs, records[runs:]),
@@ -159,7 +176,7 @@ def run_determinism(
 
 
 def render_determinism(rows: list[DeterminismRow]) -> str:
-    """Render the study as a table."""
+    """Render the study as a table, plus a manifest of failed runs."""
     headers = [
         "Tool",
         "Machine",
@@ -179,4 +196,8 @@ def render_determinism(rows: list[DeterminismRow]) -> str:
         ]
         for row in rows
     ]
-    return render_table(headers, body)
+    table = render_table(headers, body)
+    failures = [failure for row in rows for failure in row.failures]
+    if failures:
+        table += "\n\n" + render_failure_manifest(failures)
+    return table

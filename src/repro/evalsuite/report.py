@@ -162,6 +162,8 @@ def generate_report(
                 dramdig_config=config.dramdig,
                 drama_config=config.drama,
                 jobs=config.jobs,
+                supervision=config.supervision,
+                journal=journal,
             )
         ),
         "```",

@@ -26,22 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.bits import parity_array
 from repro.dram.belief import BeliefMapping
+from repro.dram.compiled import CompiledMapping
 from repro.machine.allocator import PhysPages
 from repro.machine.machine import SimulatedMachine
 
 __all__ = [
     "ConfirmConfig",
     "ConfirmOutcome",
-    "believed_banks",
-    "believed_rows",
     "plan_confirmation",
     "run_confirmation",
 ]
-
-_PAGE_SHIFT = 12
-_LINE_SHIFT = 6  # pair addresses are cacheline-aligned, like the probes
 
 
 @dataclass(frozen=True)
@@ -94,38 +89,6 @@ class ConfirmOutcome:
     reason: str
 
 
-def believed_banks(belief: BeliefMapping, addrs: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`BeliefMapping.bank_of` over a uint64 array."""
-    addrs = np.asarray(addrs, dtype=np.uint64)
-    banks = np.zeros(addrs.shape, dtype=np.uint64)
-    for position, mask in enumerate(belief.bank_functions):
-        banks |= parity_array(addrs, mask).astype(np.uint64) << np.uint64(position)
-    return banks
-
-
-def believed_rows(belief: BeliefMapping, addrs: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`BeliefMapping.row_of` over a uint64 array."""
-    addrs = np.asarray(addrs, dtype=np.uint64)
-    rows = np.zeros(addrs.shape, dtype=np.uint64)
-    for index, position in enumerate(belief.row_bits):
-        rows |= ((addrs >> np.uint64(position)) & np.uint64(1)) << np.uint64(index)
-    return rows
-
-
-def _sample_addresses(
-    pages: PhysPages, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Cacheline-aligned addresses spread over the allocated pages."""
-    frames = pages.page_numbers
-    if frames.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    picks = rng.integers(0, frames.size, size=count)
-    offsets = rng.integers(0, 1 << (_PAGE_SHIFT - _LINE_SHIFT), size=count)
-    return (frames[picks] << np.uint64(_PAGE_SHIFT)) | (
-        offsets.astype(np.uint64) << np.uint64(_LINE_SHIFT)
-    )
-
-
 def plan_confirmation(
     belief: BeliefMapping,
     addrs: np.ndarray,
@@ -140,8 +103,7 @@ def plan_confirmation(
     hypothesis cannot be confirmed and must fall back).
     """
     addrs = np.asarray(addrs, dtype=np.uint64)
-    banks = believed_banks(belief, addrs)
-    rows = believed_rows(belief, addrs)
+    banks, rows, _ = CompiledMapping.from_belief(belief).translate(addrs)
 
     conflict_bases: list[int] = []
     conflict_partners: list[int] = []
@@ -206,7 +168,7 @@ def run_confirmation(
     calibration and cannot be skewed by a drifting probe baseline.
     """
     config = config if config is not None else ConfirmConfig()
-    addrs = _sample_addresses(pages, rng, config.sample)
+    addrs = pages.sample_addresses(config.sample, rng)
     plan = plan_confirmation(belief, addrs, config.pairs)
     if plan is None:
         return ConfirmOutcome(

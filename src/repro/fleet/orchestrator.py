@@ -25,7 +25,7 @@ Resume model — the run is crash-safe at two levels, both journal-backed:
 
 The rendered artifact contains no filesystem paths and no wall-clock
 values: it is a pure function of the fleet configuration, which is what
-the chaos smoke's byte-identity assertion checks.
+the kill/resume smoke's byte-identity assertion checks.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class FleetOutcome:
         journal resume counts and store-load accidents — everything that
         can differ between an uninterrupted run and a killed-and-resumed
         one. Byte-identity of this artifact across those two runs is the
-        resume contract the chaos smoke enforces.
+        resume contract the kill/resume smoke enforces.
         """
         results = self.results
         counts = self.outcome_counts()

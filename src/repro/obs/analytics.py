@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.export import TraceFile
+from repro.obs.export import TraceFile, _children_index
 from repro.obs.tracing import SpanRecord
 
 __all__ = [
@@ -36,15 +36,6 @@ __all__ = [
     "render_diff",
     "span_weight_index",
 ]
-
-
-def _children_index(spans: list[SpanRecord]) -> dict[int | None, list[SpanRecord]]:
-    children: dict[int | None, list[SpanRecord]] = {}
-    for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
-    for siblings in children.values():
-        siblings.sort(key=lambda span: span.span_id)
-    return children
 
 
 def span_weight_index(trace: TraceFile) -> dict[int, float]:

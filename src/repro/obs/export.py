@@ -49,6 +49,16 @@ class TraceFile:
         return self.metrics.get("histograms", {})
 
 
+def _children_index(spans: list[SpanRecord]) -> dict[int | None, list[SpanRecord]]:
+    """Child spans by parent id (``None`` for roots), each list in id order."""
+    children: dict[int | None, list[SpanRecord]] = {}
+    for span in spans:
+        children.setdefault(span.parent_id, []).append(span)
+    for siblings in children.values():
+        siblings.sort(key=lambda span: span.span_id)
+    return children
+
+
 def render_trace(tracer: Tracer, meta: dict | None = None) -> str:
     """Serialise a tracer's spans and metrics to JSONL text.
 

@@ -13,19 +13,10 @@ phases up through retry attempts to each run's root.
 
 from __future__ import annotations
 
-from repro.obs.export import TraceFile
+from repro.obs.export import TraceFile, _children_index
 from repro.obs.tracing import SpanRecord
 
 __all__ = ["render_summary", "validate_trace"]
-
-
-def _children_index(spans: list[SpanRecord]) -> dict[int | None, list[SpanRecord]]:
-    children: dict[int | None, list[SpanRecord]] = {}
-    for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
-    for siblings in children.values():
-        siblings.sort(key=lambda span: span.span_id)
-    return children
 
 
 def validate_trace(trace: TraceFile, strict: bool = False) -> list[str]:

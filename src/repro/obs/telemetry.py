@@ -157,9 +157,9 @@ def estimate_eta_s(elapsed_s: float, done: int, total: int) -> float | None:
 
     The estimate is a straight rate extrapolation: elapsed/done times
     the remaining count. It is deliberately naive — journal-cached cells
-    settle near-instantly and batched cells settle in bursts, so early
-    ETAs on a resumed or batched grid can be far off until enough
-    *executed* cells have landed (documented in docs/observability.md).
+    settle near-instantly, so early ETAs on a resumed grid can be far
+    off until enough *executed* cells have landed (documented in
+    docs/observability.md).
     """
     if done <= 0 or total <= done:
         return 0.0 if total <= done else None

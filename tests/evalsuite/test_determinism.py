@@ -1,9 +1,11 @@
 """Unit tests for the determinism study module."""
 
+import repro.evalsuite.determinism as determinism
 from repro.baselines.drama import DramaConfig
 from repro.core.dramdig import DramDigConfig
 from repro.core.probe import ProbeConfig
 from repro.evalsuite.determinism import render_determinism, run_determinism
+from repro.parallel import GridPolicy
 
 FAST_DRAMDIG = DramDigConfig(probe=ProbeConfig(rounds=200))
 FAST_DRAMA = DramaConfig(pool_size=2500, rounds=400, timeout_seconds=600.0)
@@ -61,6 +63,42 @@ def test_render():
     )
     text = render_determinism(rows)
     assert "DRAMDig" in text and "Modal output" in text
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("injected cell failure")
+
+
+def test_journal_resume_reruns_nothing(tmp_path, monkeypatch):
+    """A completed study replays from its journal: equal rows, no cell run."""
+    study = dict(
+        machine_name="No.4",
+        runs=2,
+        seed=1,
+        dramdig_config=FAST_DRAMDIG,
+        drama_config=FAST_DRAMA,
+        journal=tmp_path / "determinism.journal",
+    )
+    first = run_determinism(**study)
+    monkeypatch.setattr(determinism, "dramdig_run_cell", _raise)
+    monkeypatch.setattr(determinism, "drama_run_cell", _raise)
+    assert run_determinism(**study) == first
+
+
+def test_supervised_failure_renders_instead_of_raising(monkeypatch):
+    """A failed run under supervision becomes a manifest entry, not a crash."""
+    monkeypatch.setattr(determinism, "drama_run_cell", _raise)
+    rows = run_determinism(
+        machine_name="No.4",
+        runs=2,
+        seed=1,
+        dramdig_config=FAST_DRAMDIG,
+        drama_config=FAST_DRAMA,
+        supervision=GridPolicy(),
+    )
+    drama = next(row for row in rows if row.tool == "DRAMA")
+    assert drama.completed == 0
+    assert "grid failures (" in render_determinism(rows)
 
 
 class TestReport:

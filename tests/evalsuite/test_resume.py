@@ -9,7 +9,7 @@ an interrupt leaves behind) and is restarted over its journal must
 
 Truncation rather than an actual mid-flight SIGKILL keeps the test
 deterministic; the CI smoke job (``scripts/kill_resume_smoke.py``) does
-the real-kill variant.
+the real-kill variant, on ``table1`` among other workloads.
 """
 
 import repro.parallel.supervisor as supervisor

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from repro.dram.belief import BeliefMapping
+from repro.dram.compiled import CompiledMapping
 from repro.dram.random_mapping import random_mapping
-from repro.fleet.confirm import (
-    ConfirmConfig,
-    believed_banks,
-    believed_rows,
-    plan_confirmation,
-    run_confirmation,
-)
+from repro.fleet.confirm import ConfirmConfig, plan_confirmation, run_confirmation
 from repro.fleet.spec import _mismatch_mapping
 from repro.machine.machine import SimulatedMachine
 
@@ -45,20 +40,20 @@ def machine_pages(mapping):
 
 
 class TestVectorizedBelief:
-    def test_believed_banks_matches_scalar(self, mapping):
+    def test_compiled_banks_match_scalar(self, mapping):
         belief = BeliefMapping.from_mapping(mapping)
         rng = np.random.default_rng(0)
         addrs = rng.integers(0, mapping.geometry.total_bytes, size=64, dtype=np.uint64)
         addrs &= ~np.uint64(63)
-        banks = believed_banks(belief, addrs)
+        banks, _, _ = CompiledMapping.from_belief(belief).translate(addrs)
         for addr, bank in zip(addrs.tolist(), banks.tolist()):
             assert bank == belief.bank_of(addr)
 
-    def test_believed_rows_matches_scalar(self, mapping):
+    def test_compiled_rows_match_scalar(self, mapping):
         belief = BeliefMapping.from_mapping(mapping)
         rng = np.random.default_rng(1)
         addrs = rng.integers(0, mapping.geometry.total_bytes, size=64, dtype=np.uint64)
-        rows = believed_rows(belief, addrs)
+        _, rows, _ = CompiledMapping.from_belief(belief).translate(addrs)
         for addr, row in zip(addrs.tolist(), rows.tolist()):
             assert row == belief.row_of(addr)
 
@@ -140,10 +135,9 @@ class TestPlanning:
         bases, partners, predicted = plan
         assert bases.shape == partners.shape == predicted.shape == (32,)
         assert int(predicted.sum()) == 16
-        banks_b = believed_banks(belief, bases)
-        banks_p = believed_banks(belief, partners)
-        rows_b = believed_rows(belief, bases)
-        rows_p = believed_rows(belief, partners)
+        compiled = CompiledMapping.from_belief(belief)
+        banks_b, rows_b, _ = compiled.translate(bases)
+        banks_p, rows_p, _ = compiled.translate(partners)
         assert np.array_equal(banks_b[predicted], banks_p[predicted])
         assert np.all(rows_b[predicted] != rows_p[predicted])
         assert np.all(banks_b[~predicted] != banks_p[~predicted])

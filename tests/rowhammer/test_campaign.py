@@ -1,6 +1,6 @@
 """Tests for the campaign fuzzer: sweep space, grid dispatch, artifacts.
 
-The CI smoke job (``scripts/campaign_kill_resume_smoke.py``) does the
+The CI smoke job (``scripts/kill_resume_smoke.py``) does the
 real-SIGKILL variant; here resume is exercised deterministically by
 truncating the journal, mirroring ``tests/evalsuite/test_resume.py``.
 """
