@@ -7,8 +7,8 @@ The test suite checks resume by truncating a journal
 ``SIGKILL`` against the ``dramdig`` CLI instead, running one flow over
 every entry of :data:`WORKLOADS`:
 
-1. *reference*: run uninterrupted, without a journal, with ``--trace``
-   and ``--history H``;
+1. *reference*: run uninterrupted, without a journal, with ``--trace``,
+   ``--history H`` and ``--telemetry R`` (its own stream);
 2. *victim*: run with ``--resume J`` and ``--telemetry S`` (plus
    ``--knowledge-store K`` where the workload takes one), and kill -9
    it once ``J`` holds more records than the workload's baseline;
@@ -32,7 +32,9 @@ Gates, on every workload:
 * ``dramdig obs diff`` finds no regression from reference to resumed;
 * ``dramdig obs history H --check`` passes;
 * the replay trace's metric counters are exactly
-  ``{"grid.cells_resumed": N}``, N being the cell records in ``J``.
+  ``{"grid.cells_resumed": N}``, N being the cell records in ``J``;
+* the unflagged reference run streams progress: ``R`` holds exactly N
+  ``cell`` events, all with status ``ok``.
 
 The kill is racy. If the victim finishes before it lands, the three
 gates that need a kill (the checkpoint, the event before it and the
@@ -129,10 +131,10 @@ def dramdig(*argv: str) -> subprocess.CompletedProcess:
 
 
 def command(work: Workload, root: Path, role: str, journal: bool = False,
-            telemetry: bool = False, history: bool = False,
+            telemetry: str | None = None, history: bool = False,
             trace: bool = False) -> list[str]:
     """One run's argv; global flags go before the subcommand."""
-    argv = ["--telemetry", str(root / "telemetry.jsonl")] if telemetry else []
+    argv = ["--telemetry", str(root / telemetry)] if telemetry else []
     argv += ["--history", str(root / "history.jsonl")] if history else []
     argv += work.argv
     argv += ["--out", str(root / f"{role}.out")] if work.out else []
@@ -189,11 +191,12 @@ def run_workload(work: Workload, root: Path) -> tuple[list[str], str]:
 
     root.mkdir(parents=True)
     journal, stream = root / "journal.jsonl", root / "telemetry.jsonl"
-    reference = complete("reference", command(work, root, "reference",
-                                              history=True, trace=True))
+    reference = complete("reference", command(
+        work, root, "reference", telemetry="reference-telemetry.jsonl",
+        history=True, trace=True))
 
     code = kill_once_checkpointed(
-        command(work, root, "victim", journal=True, telemetry=True),
+        command(work, root, "victim", journal=True, telemetry=stream.name),
         journal, work.baseline,
     )
     killed = code == -signal.SIGKILL
@@ -208,7 +211,7 @@ def run_workload(work: Workload, root: Path) -> tuple[list[str], str]:
 
     outputs = {
         "resumed": complete("resumed", command(
-            work, root, "resumed", journal=True, telemetry=True,
+            work, root, "resumed", journal=True, telemetry=stream.name,
             history=True, trace=True)),
         "replay": complete("replay", command(
             work, root, "replay", journal=True, trace=True)),
@@ -252,9 +255,17 @@ def run_workload(work: Workload, root: Path) -> tuple[list[str], str]:
     metrics = [record for record in read_jsonl(root / "replay-trace.jsonl")[0]
                if record.get("type") == "metrics"]
     counters = metrics[0].get("counters") if metrics else None
-    expected = {"grid.cells_resumed": cell_records(journal) - work.baseline}
+    cells = cell_records(journal) - work.baseline
+    expected = {"grid.cells_resumed": cells}
     gate(counters == expected,
          f"replay counters are {counters}, expected {expected}")
+
+    progress = [event.get("status") for event in
+                read_jsonl(root / "reference-telemetry.jsonl")[0]
+                if event.get("kind") == "cell"]
+    gate(progress == ["ok"] * cells,
+         f"the reference stream holds {len(progress)} cell event(s) "
+         f"({progress.count('ok')} ok), expected {cells} ok")
 
     landed = (f"killed mid-flight with {survivors} survivor(s) and "
               f"{heartbeats} event(s) streamed" if killed

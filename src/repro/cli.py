@@ -50,6 +50,7 @@ from repro.faults import FaultInjector, get_profile, profile_names
 from repro.logutil import get_logger, setup_logging
 from repro.obs.history import DEFAULT_HISTORY_PATH
 from repro.machine.machine import SimulatedMachine
+from repro.parallel import CellFailure, GridPolicy
 from repro.rowhammer.assess import assess_vulnerability
 from repro.rowhammer.hammer import HammerConfig
 
@@ -168,28 +169,12 @@ def _vulnerability_arg(text: str) -> float:
 
 
 def _grid_options(args):
-    """Fold the crash-safety flags into (supervision, journal).
-
-    Any of ``--cell-timeout``/``--run-deadline``/``--grid-retries``
-    switches the grid to the supervised engine; ``--resume`` alone does
-    too (a journal only makes sense with checkpointing on). With none of
-    the flags the seed fail-fast path runs, byte for byte.
-    """
-    from repro.parallel import GridPolicy
-
-    supervision = None
-    if (
-        args.cell_timeout is not None
-        or args.run_deadline is not None
-        or args.grid_retries is not None
-    ):
-        supervision = GridPolicy(
-            cell_timeout_s=args.cell_timeout,
-            run_deadline_s=args.run_deadline,
-            retries=args.grid_retries if args.grid_retries is not None else 0,
-        )
-    elif args.resume is not None:
-        supervision = GridPolicy()
+    """Fold the crash-safety flags into (supervision, journal)."""
+    supervision = GridPolicy(
+        cell_timeout_s=args.cell_timeout,
+        run_deadline_s=args.run_deadline,
+        retries=args.grid_retries,
+    )
     return supervision, args.resume
 
 
@@ -466,8 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=_seconds_arg,
             default=None,
             metavar="SECONDS",
-            help="kill and fail any grid cell running longer than this "
-            "(enables the supervised engine)",
+            help="kill and fail any grid cell running longer than this",
         )
         grid_cmd.add_argument(
             "--run-deadline",
@@ -475,16 +459,15 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SECONDS",
             help="salvage whatever finished once the whole grid run "
-            "exceeds this budget (enables the supervised engine)",
+            "exceeds this budget",
         )
         grid_cmd.add_argument(
             "--grid-retries",
             type=_grid_retries_arg,
-            default=None,
+            default=0,
             metavar="N",
             help="retry a failed grid cell up to N times with exponential "
-            "backoff before recording it as FAILED (enables the "
-            "supervised engine)",
+            "backoff before recording it as FAILED (default 0)",
         )
         grid_cmd.add_argument(
             "--trace",
@@ -1070,7 +1053,7 @@ def _dispatch_command(args) -> int:
             print(f"report written to {args.out}")
         else:
             print(report)
-        # Supervised sections flag unrecovered cells with an explicit
+        # Every section flags unrecovered cells with an explicit
         # manifest; a partial report must not exit 0.
         return 1 if "grid failures (" in report else 0
     if args.command == "table1":
@@ -1081,11 +1064,10 @@ def _dispatch_command(args) -> int:
         print(render_table1(verdicts))
         return 1 if any(verdict.grid_failed for verdict in verdicts) else 0
     if args.command == "table2":
-        print(render_table2(run_table2(seed=args.seed)))
-        return 0
+        rows = run_table2(seed=args.seed)
+        print(render_table2(rows))
+        return 1 if any(isinstance(row, CellFailure) for row in rows) else 0
     if args.command == "figure2":
-        from repro.parallel import CellFailure
-
         supervision, journal = _grid_options(args)
         points = run_figure2(
             seed=args.seed, jobs=args.jobs, supervision=supervision, journal=journal
@@ -1093,8 +1075,6 @@ def _dispatch_command(args) -> int:
         print(render_figure2(points))
         return 1 if any(isinstance(point, CellFailure) for point in points) else 0
     if args.command == "table3":
-        from repro.parallel import CellFailure
-
         supervision, journal = _grid_options(args)
         rows = run_table3(
             seed=args.seed,

@@ -24,10 +24,9 @@ from repro.baselines.drama import DramaConfig, DramaTool
 from repro.core.dramdig import DramDig, DramDigConfig
 from repro.dram.belief import BeliefMapping
 from repro.dram.presets import preset
-from repro.evalsuite.gridrun import execute_grid
 from repro.evalsuite.reporting import render_failure_manifest, render_table
 from repro.machine.machine import SimulatedMachine
-from repro.parallel import CellFailure, CheckpointJournal, GridCell, GridPolicy
+from repro.parallel import CellFailure, CheckpointJournal, GridCell, GridPolicy, run_cells
 
 __all__ = ["DeterminismRow", "run_determinism", "render_determinism"]
 
@@ -46,7 +45,7 @@ class DeterminismRow:
             output.
         correct_fraction: share of completed runs hammer-equivalent to the
             ground truth.
-        failures: supervised runs that exhausted their attempts.
+        failures: grid cells that exhausted their attempts.
     """
 
     tool: str
@@ -98,7 +97,7 @@ def _fold_rows(tool: str, machine_name: str, runs: int, records) -> DeterminismR
     """Aggregate per-run records in run order (Counter insertion order and
     tie-breaking therefore match the original serial loop exactly).
 
-    DRAMA's timeouts (``None``) and supervised failures do not count as
+    DRAMA's timeouts (``None``) and failed grid cells do not count as
     completed; the failures are kept for the renderer's manifest.
     """
     row = DeterminismRow(tool=tool, machine=machine_name, runs=runs)
@@ -139,10 +138,11 @@ def run_determinism(
 
     One grid cell per (tool, run), each carrying its tool config;
     ``jobs`` > 1 fans them out to worker processes with bit-identical
-    aggregation (records fold in run order). With
-    ``supervision``/``journal`` the cells run crash-safe: journalled runs
-    are not repeated, and a failed run is left out of its row and listed
-    in the rendered failure manifest.
+    aggregation (records fold in run order). The cells run under
+    ``supervision`` (None = default policy) and checkpoint to ``journal``
+    when one is given: journalled runs are not repeated, and a failed
+    run is left out of its row and listed in the rendered failure
+    manifest.
     """
     cells = [
         GridCell(
@@ -166,9 +166,9 @@ def run_determinism(
         )
         for run in range(runs)
     ]
-    records = execute_grid(
-        cells, jobs=jobs, supervision=supervision, journal=journal
-    )
+    records = run_cells(
+        cells, jobs=jobs, policy=supervision, journal=journal
+    ).results
     return [
         _fold_rows("DRAMDig", machine_name, runs, records[:runs]),
         _fold_rows("DRAMA", machine_name, runs, records[runs:]),

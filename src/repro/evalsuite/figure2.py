@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from repro.baselines.drama import DramaConfig, DramaTool
 from repro.core.dramdig import DramDig, DramDigConfig
 from repro.dram.presets import TABLE2_ORDER, preset
-from repro.evalsuite.gridrun import execute_grid
 from repro.evalsuite.reporting import format_seconds, render_failure_manifest, render_table
 from repro.machine.machine import SimulatedMachine
 from repro.parallel import (
@@ -30,6 +29,7 @@ from repro.parallel import (
     CheckpointJournal,
     GridCell,
     GridPolicy,
+    run_cells,
 )
 
 __all__ = ["Figure2Point", "run_figure2", "render_figure2"]
@@ -83,10 +83,11 @@ def run_figure2(
     """Measure both tools' simulated time cost on every machine.
 
     One grid cell per machine; ``jobs`` > 1 fans the cells out to worker
-    processes with bit-identical results (ordered reassembly). With
-    ``supervision``/``journal`` the cells run crash-safe: a failed
-    machine's slot holds its :class:`~repro.parallel.CellFailure` and
-    the renderer prints it as a ``FAILED(reason)`` row.
+    processes with bit-identical results (ordered reassembly). The cells
+    run under ``supervision`` (None = default policy) and checkpoint to
+    ``journal`` when one is given; a failed machine's slot holds its
+    :class:`~repro.parallel.CellFailure` and the renderer prints it as a
+    ``FAILED(reason)`` row.
     """
     cells = [
         GridCell(
@@ -100,16 +101,16 @@ def run_figure2(
         )
         for name in machines
     ]
-    return execute_grid(
-        cells, jobs=jobs, supervision=supervision, journal=journal
-    )
+    return run_cells(
+        cells, jobs=jobs, policy=supervision, journal=journal
+    ).results
 
 
 def render_figure2(points: list[Figure2Point | CellFailure]) -> str:
     """Render the comparison as the paper's grouped bars, in text.
 
-    Supervised runs may hand over :class:`~repro.parallel.CellFailure`
-    markers in place of points; those render as explicit ``FAILED``
+    A failed cell hands over its :class:`~repro.parallel.CellFailure`
+    marker in place of a point; those render as explicit ``FAILED``
     rows, the averages cover completed machines only, and a failure
     manifest is appended.
     """

@@ -40,9 +40,10 @@ class ReportConfig:
         dramdig / drama / hammer: tool configs (None = defaults).
         jobs: worker processes for each experiment grid (None/1 = serial;
             results are bit-identical either way).
-        supervision: crash-safe grid policy for the experiment grids
-            (None = seed fail-fast behaviour). Failed cells render as
-            ``FAILED(reason)`` entries instead of aborting the report.
+        supervision: grid policy for the experiment grids (None =
+            :class:`~repro.parallel.GridPolicy` defaults). Failed cells
+            render as ``FAILED(reason)`` entries instead of aborting the
+            report.
         journal: checkpoint journal (instance or path) shared by the
             experiment grids; completed cells are skipped on ``--resume``.
     """
@@ -103,7 +104,12 @@ def generate_report(
         "```",
         render_table2(
             run_table2(
-                seed=config.seed, machines=config.machines, config=config.dramdig
+                seed=config.seed,
+                machines=config.machines,
+                config=config.dramdig,
+                jobs=config.jobs,
+                supervision=config.supervision,
+                journal=journal,
             )
         ),
         "```",

@@ -46,7 +46,7 @@ def render_series(label: str, points: Sequence[tuple[str, float]], unit: str = "
 
 
 def render_failure_manifest(failures: Sequence) -> str:
-    """Render a supervised grid's failed cells as an explicit manifest.
+    """Render a grid's failed cells as an explicit manifest.
 
     A partial artefact must say loudly *which* cells are missing and
     why; a table with silently absent rows reads as a complete run.

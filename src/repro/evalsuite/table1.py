@@ -29,7 +29,6 @@ from repro.baselines.xiao import XiaoTool
 from repro.core.dramdig import DramDig
 from repro.dram.errors import ReproError
 from repro.dram.presets import TABLE2_ORDER, preset
-from repro.evalsuite.gridrun import execute_grid
 from repro.evalsuite.reporting import render_table
 from repro.machine.machine import SimulatedMachine
 from repro.parallel import (
@@ -37,6 +36,7 @@ from repro.parallel import (
     CheckpointJournal,
     GridCell,
     GridPolicy,
+    run_cells,
 )
 
 __all__ = ["ToolVerdict", "run_table1", "render_table1"]
@@ -83,11 +83,11 @@ def run_table1(
     """Measure Table I's properties for all four tools.
 
     ``jobs`` > 1 distributes the (tool, machine) cells over worker
-    processes; output is bit-identical to the serial run. With
-    ``supervision`` and/or ``journal`` the cells run under the
-    crash-safe engine: completed cells checkpoint to the journal,
-    failed cells fold into their verdicts as ``FAILED(reason)`` details
-    instead of aborting the table.
+    processes; output is bit-identical to the serial run. The cells run
+    under ``supervision`` (None = default :class:`~repro.parallel.GridPolicy`)
+    and checkpoint to ``journal`` when one is given; failed cells fold
+    into their verdicts as ``FAILED(reason)`` details instead of
+    aborting the table.
     """
     cells = []
     for name in machines:
@@ -116,9 +116,9 @@ def run_table1(
                 {"name": name, "seed": seed, "determinism_runs": determinism_runs},
             )
         )
-    results = execute_grid(
-        cells, jobs=jobs, supervision=supervision, journal=journal
-    )
+    results = run_cells(
+        cells, jobs=jobs, policy=supervision, journal=journal
+    ).results
     panel = len(machines)
     xiao_records = results[:panel]
     drama_records = results[panel : 2 * panel]

@@ -15,7 +15,6 @@ from repro.baselines.drama import DramaConfig, DramaTool
 from repro.core.dramdig import DramDig, DramDigConfig
 from repro.dram.belief import BeliefMapping
 from repro.dram.presets import preset
-from repro.evalsuite.gridrun import execute_grid
 from repro.evalsuite.reporting import render_failure_manifest, render_table
 from repro.machine.machine import SimulatedMachine
 from repro.parallel import (
@@ -23,6 +22,7 @@ from repro.parallel import (
     CheckpointJournal,
     GridCell,
     GridPolicy,
+    run_cells,
 )
 from repro.rowhammer.hammer import DoubleSidedAttack, HammerConfig
 
@@ -113,10 +113,11 @@ def run_table3(
     """Run the paper's rowhammer comparison.
 
     One grid cell per machine; ``jobs`` > 1 fans the cells out to worker
-    processes with bit-identical results (ordered reassembly). With
-    ``supervision``/``journal`` the cells run crash-safe: a failed
-    machine's slot holds its :class:`~repro.parallel.CellFailure` and
-    the renderer prints it as a ``FAILED(reason)`` row.
+    processes with bit-identical results (ordered reassembly). The cells
+    run under ``supervision`` (None = default policy) and checkpoint to
+    ``journal`` when one is given; a failed machine's slot holds its
+    :class:`~repro.parallel.CellFailure` and the renderer prints it as a
+    ``FAILED(reason)`` row.
     """
     cells = [
         GridCell(
@@ -132,16 +133,16 @@ def run_table3(
         )
         for name in machines
     ]
-    return execute_grid(
-        cells, jobs=jobs, supervision=supervision, journal=journal
-    )
+    return run_cells(
+        cells, jobs=jobs, policy=supervision, journal=journal
+    ).results
 
 
 def render_table3(rows: list[Table3Row | CellFailure]) -> str:
     """Render in the paper's T1-T5 DRAMDig/DRAMA layout.
 
-    Supervised runs may substitute :class:`~repro.parallel.CellFailure`
-    markers for rows; those render as explicit ``FAILED`` lines and a
+    A failed cell substitutes its :class:`~repro.parallel.CellFailure`
+    marker for a row; those render as explicit ``FAILED`` lines and a
     failure manifest is appended.
     """
     completed = [row for row in rows if not isinstance(row, CellFailure)]

@@ -2,7 +2,7 @@
 
 The orchestrator turns a fleet of :class:`~repro.fleet.spec.MachineSpec`
 into grid cells (``repro.fleet.runner:run_fleet_cell``) and dispatches
-them in *waves* through :func:`repro.evalsuite.gridrun.execute_grid`.
+them in *waves* through the grid engine (:func:`repro.parallel.run_cells`).
 Between waves it folds the results back into the knowledge store: fresh
 full-search mappings become new store entries, confirmations reset
 circuit-breaker streaks, rejections feed them, and a tripped breaker
@@ -44,7 +44,7 @@ from repro.fleet.store import KnowledgeStore, system_from_facts
 from repro.logutil import get_logger
 from repro.obs import telemetry
 from repro.obs import tracing as obs
-from repro.parallel import CellFailure, CheckpointJournal, GridCell, GridPolicy
+from repro.parallel import CellFailure, CheckpointJournal, GridCell, GridPolicy, run_cells
 from repro.parallel.grid import fingerprint_payload
 
 __all__ = ["FleetConfig", "FleetOutcome", "run_fleet", "render_fleet"]
@@ -77,8 +77,7 @@ class FleetConfig:
             hypothesis.
         confirm: confirmation campaign policy.
         resilient: run fallback searches with the full recovery stack.
-        supervision: grid supervision policy (None = defaults when a
-            journal is present, fail-fast otherwise).
+        supervision: grid supervision policy (None = defaults).
     """
 
     size: int = 8
@@ -344,10 +343,6 @@ def run_fleet(config: FleetConfig) -> FleetOutcome:
         if config.journal_path is not None
         else None
     )
-    supervision = config.supervision
-    if supervision is None and journal is not None:
-        supervision = GridPolicy()
-
     store = KnowledgeStore(config.store_path)
     events: list[DegradationEvent] = list(store.events)
     if journal is not None:
@@ -386,8 +381,6 @@ def run_fleet(config: FleetConfig) -> FleetOutcome:
         for event in events:
             obs.note_event(event)
 
-        from repro.evalsuite.gridrun import execute_grid
-
         slices = _wave_slices(config.size, config.families, config.wave)
         for wave_index, (start, end) in enumerate(slices):
             wave_specs = specs[start:end]
@@ -416,12 +409,12 @@ def run_fleet(config: FleetConfig) -> FleetOutcome:
                 )
                 for spec in wave_specs
             ]
-            results = execute_grid(
+            results = run_cells(
                 cells,
                 jobs=config.jobs,
-                supervision=supervision,
+                policy=config.supervision,
                 journal=journal,
-            )
+            ).results
             for spec, result in zip(wave_specs, results):
                 machines.append(result)
                 if isinstance(result, CellFailure):

@@ -9,18 +9,16 @@ order, so the parallel path is bit-identical to the serial one; the
 ``--jobs N`` flag of ``dramdig table1/figure2/table3/report`` is wired
 through here.
 
-Grid work ships one way: one cell per task, on a warmed ``spawn`` pool
-that the process-wide :class:`PoolManager` leases by worker count and
-parks between dispatches. Two runners share that cell model:
-
-* :func:`run_cells` — fail-fast: the first cell error aborts the run
-  (the seed behaviour, and still the default);
-* :func:`run_cells_supervised` — crash-safe: per-cell retry with
-  backoff, worker-death detection with pool respawn, per-cell timeouts,
-  a whole-run deadline, and an atomic checkpoint journal that lets an
-  interrupted run resume without re-executing finished cells
-  (``--resume``/``--cell-timeout``/``--run-deadline``/``--grid-retries``
-  on the CLI).
+Grid work ships one way: :func:`run_cells`, one cell per task, on a
+warmed ``spawn`` pool that the process-wide :class:`PoolManager` leases
+by worker count and parks between dispatches. Every run is supervised:
+per-cell retry with backoff, worker-death detection with pool respawn,
+per-cell timeouts and a whole-run deadline (a :class:`GridPolicy`), and
+an atomic checkpoint journal that lets an interrupted run resume without
+re-executing finished cells (``--resume``/``--cell-timeout``/
+``--run-deadline``/``--grid-retries`` on the CLI). A failed cell comes
+back as a :class:`CellFailure` in its result slot of the
+:class:`GridOutcome`; it never aborts its neighbours.
 """
 
 from repro.parallel.grid import (
@@ -39,7 +37,6 @@ from repro.parallel.supervisor import (
     GridError,
     GridOutcome,
     GridPolicy,
-    run_cells_supervised,
 )
 
 __all__ = [
@@ -57,5 +54,4 @@ __all__ = [
     "get_pool_manager",
     "resolve_jobs",
     "run_cells",
-    "run_cells_supervised",
 ]

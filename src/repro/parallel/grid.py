@@ -18,12 +18,14 @@ Design constraints, in order of importance:
    the offending key named instead of an opaque traceback from inside the
    pool.
 3. **Serial fallback.** ``jobs=None``/``0``/``1`` executes the cells in
-   the calling process with no pool, no context, no pickling — the
-   pre-existing behaviour and cost profile, byte for byte.
+   the calling process with no pool, no context, no pickling.
 
-``run_cells`` here is the fail-fast path: the first cell error aborts the
-run. The supervised, checkpointed runner that survives worker death and
-resumes interrupted runs lives in :mod:`repro.parallel.supervisor`.
+:func:`run_cells` is the one way grid cells run: always supervised, so a
+failed cell comes back as a :class:`~repro.parallel.supervisor.CellFailure`
+in its result slot instead of aborting its neighbours, checkpointed when
+given a journal, and the seam where live telemetry and cross-process
+tracing attach. The supervision loops themselves (retry, worker-death
+quarantine, timeouts, deadline) live in :mod:`repro.parallel.supervisor`.
 """
 
 from __future__ import annotations
@@ -32,9 +34,17 @@ import hashlib
 import logging
 import os
 import pickle
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import import_module
+from pathlib import Path
+from tempfile import TemporaryDirectory
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # supervisor imports this module; no runtime cycle
+    from repro.parallel.journal import CheckpointJournal
+    from repro.parallel.supervisor import GridOutcome, GridPolicy
 
 __all__ = [
     "CellExecutionError",
@@ -252,46 +262,137 @@ def execute_cell(cell: GridCell):
         ) from error
 
 
-def run_cells(cells: Sequence[GridCell], jobs: int | None = None) -> list:
-    """Execute ``cells`` and return their results in submission order.
+def run_cells(
+    cells: Sequence[GridCell],
+    jobs: int | None = None,
+    policy: GridPolicy | None = None,
+    journal: CheckpointJournal | str | Path | None = None,
+) -> GridOutcome:
+    """Execute ``cells`` under supervision and return a :class:`GridOutcome`.
 
-    ``jobs`` <= 1 (the default) runs serially in-process. Larger values fan
-    the cells out, one cell per task, over a warmed worker pool leased from
-    the process-wide :class:`~repro.parallel.pool.PoolManager` and parked
-    again afterwards for the next dispatch of the same size;
-    ``Executor.map`` guarantees result order matches cell order regardless
-    of completion order, which is what keeps rendered artefacts
-    bit-identical to the serial path.
+    ``jobs`` <= 1 (the default) runs the cells in-process; larger values
+    run them one cell per task on a warmed pool leased from the
+    :class:`~repro.parallel.pool.PoolManager`, even a single pending cell,
+    because the pool is an isolation boundary (a cell that kills its
+    process must not kill the run). Results reassemble in submission
+    order, so artefacts are bit-identical across ``jobs``.
 
-    This is the fail-fast runner: the first cell exception (in submission
-    order) propagates and aborts the run. Use
-    :func:`repro.parallel.run_cells_supervised` when a run must survive
-    worker death, hangs, or interruption.
+    Never raises for a cell error, a dead worker or an expired deadline:
+    a failed cell's slot holds its ``CellFailure`` (a cell error's
+    ``detail`` is the :class:`CellExecutionError` message), and
+    :meth:`GridOutcome.require` raises for callers that want an
+    exception. ``policy`` (None = :class:`GridPolicy` defaults) sets
+    retries, timeouts and the run deadline. With a ``journal``, completed
+    cells are checkpointed as they finish and journalled cells are not
+    re-executed.
+
+    Under an active telemetry bus the grid streams one ``grid-start``
+    event and one ``cell`` event per cell, and workers append to the same
+    stream. Under an active tracer each cell's spans are stitched under a
+    ``grid:<experiment>`` span in submission order, journal hits as
+    ``cached`` spans and failures as ``failed`` ones.
     """
-    from repro.parallel.pool import get_pool_manager
+    from repro.obs import telemetry
+    from repro.obs import tracing as obs
+    from repro.obs.gridtrace import cell_label, stitch_cell_traces, traced_cells
+    from repro.parallel.journal import CheckpointJournal
+    from repro.parallel.supervisor import GridOutcome, GridPolicy, _run_pooled, _run_serial
 
+    policy = policy if policy is not None else GridPolicy()
+    if journal is not None and not isinstance(journal, CheckpointJournal):
+        journal = CheckpointJournal(journal)
     cells = list(cells)
-    workers = min(resolve_jobs(jobs), len(cells)) if cells else 1
-    if workers <= 1:
-        return [execute_cell(cell) for cell in cells]
-    manager = get_pool_manager()
-    pool = manager.lease(workers)
-    healthy = True
-    try:
-        return list(pool.map(execute_cell, cells))
-    except CellExecutionError:
-        raise  # the worker raised cleanly; its pool is still usable
-    except Exception:
-        # Anything else (a broken pool above all) may have left workers
-        # unusable; kill the pool rather than park a corpse.
-        healthy = False
-        raise
-    finally:
-        if healthy:
-            manager.release(pool, workers)
-        else:
-            manager.discard(pool)
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - broken mid-shutdown
-                pass
+    # The grid's label in its announcement and span: the task's module.
+    experiment = cells[0].task.partition(":")[0].rsplit(".", 1)[-1] if cells else ""
+    fingerprints = [fingerprint_cell(cell) for cell in cells]
+    results: list = [None] * len(cells)
+    failures: dict = {}
+    events: list = []
+    pending: list[int] = []
+    resumed: list[int] = []
+    for index, fingerprint in enumerate(fingerprints):
+        if journal is not None:
+            hit, value = journal.lookup(fingerprint)
+            if hit:
+                results[index] = value
+                resumed.append(index)
+                continue
+        pending.append(index)
+    if resumed:
+        obs.inc("grid.cells_resumed", len(resumed))
+
+    # Live progress reporting. Everything below is guarded on the bus
+    # being active: telemetry off costs one global load + is-None test
+    # per settled cell, nothing else — the same discipline the tracing
+    # hooks pin. The tallies feed the heartbeat stream only; they are
+    # never consulted by the supervision logic itself.
+    grid_started = time.monotonic()
+    progress = {"done": 0, "failed": 0, "cached": 0}
+
+    def report(index: int, status: str) -> None:
+        if telemetry.current_bus() is None:
+            return
+        progress["done"] += 1
+        if status in ("failed", "cached"):
+            progress[status] += 1
+        telemetry.emit(
+            "cell",
+            cell=cell_label(cells[index].payload, index),
+            status=status,
+            done=progress["done"],
+            total=len(cells),
+            failed=progress["failed"],
+            cached=progress["cached"],
+            eta_s=telemetry.estimate_eta_s(
+                time.monotonic() - grid_started, progress["done"], len(cells)
+            ),
+        )
+
+    dispatched = cells
+    bus = telemetry.current_bus()
+    if bus is not None and cells:
+        # Thread the live stream into the cells so worker-side hooks
+        # (pipeline phases, campaign trials) append to the same file.
+        dispatched = telemetry.telemetry_cells(cells, bus.path)
+        telemetry.emit(
+            "grid-start", experiment=experiment, total=len(cells),
+            resumed=len(resumed),
+        )
+        for index in resumed:
+            report(index, "cached")
+
+    def checkpoint(index: int, value: object) -> None:
+        results[index] = value
+        if journal is not None:
+            journal.record(fingerprints[index], cells[index].task, value)
+
+    def execute(batch: list[GridCell]) -> None:
+        if pending:
+            requested = resolve_jobs(jobs)
+            runner = _run_pooled if requested > 1 else _run_serial
+            runner(
+                batch, fingerprints, pending, min(requested, len(pending)),
+                policy, checkpoint, failures, events, report,
+            )
+        for index, failure in failures.items():
+            results[index] = failure
+
+    tracer = obs.current_tracer()
+    if tracer is None or not cells:
+        execute(dispatched)
+    else:
+        with TemporaryDirectory(prefix="dramdig-trace-") as trace_dir:
+            with tracer.span(f"grid:{experiment}") as grid_scope:
+                execute(traced_cells(dispatched, trace_dir))
+                tally = stitch_cell_traces(
+                    tracer, grid_scope.record, cells, results, trace_dir
+                )
+                grid_scope.set("cells", len(cells))
+                grid_scope.set("cached", tally["cached"])
+                grid_scope.set("failed", len(failures))
+    return GridOutcome(
+        results=results,
+        failures=[failures[index] for index in sorted(failures)],
+        events=events,
+        resumed=len(resumed),
+    )

@@ -1,9 +1,9 @@
-"""Supervised grid runner: worker death, hangs and interrupts degrade, not abort.
+"""Supervision loops of the grid engine: failed cells degrade, never abort.
 
-:func:`repro.parallel.grid.run_cells` is fail-fast by design — the first
-cell error aborts the run and a dead worker raises
-``BrokenProcessPool``, discarding every already-completed cell. This
-module is the crash-safe alternative for long evaluation sweeps:
+:func:`repro.parallel.grid.run_cells` runs every grid through the
+private loops here (:func:`_run_serial` in-process, :func:`_run_pooled`
+on a warmed pool) and owns the journal, telemetry and tracing around
+them. What the loops guarantee:
 
 * **per-cell futures** instead of ``pool.map``, so one cell's fate never
   decides its neighbours';
@@ -18,25 +18,22 @@ module is the crash-safe alternative for long evaluation sweeps:
 * **per-cell retry with exponential backoff**, reusing the
   :class:`~repro.faults.recovery.DegradationEvent` vocabulary from the
   timing pipeline's recovery stack so a salvaged sweep documents its
-  scars the same way a salvaged run does;
-* **checkpoint journal** — every completed cell is recorded in an
-  atomic JSONL journal (:class:`~repro.parallel.journal.CheckpointJournal`)
-  keyed by content fingerprint; a later run over the same journal skips
-  finished cells, which is what backs the CLI's ``--resume``.
+  scars the same way a salvaged run does.
 
-The result is a :class:`GridOutcome` carrying results *and* failures:
-partial success is a first-class outcome, and the evaluation renderers
-print ``FAILED(reason)`` cells plus a failure manifest instead of
-crashing. Determinism is preserved because cells are pure functions of
-their payloads and results still reassemble in submission order — a
-supervised run (cold or resumed) renders byte-identical artefacts to
-the fail-fast serial run whenever every cell ultimately completes.
+Every completed cell is handed to a checkpoint callback, which records
+it in the run's :class:`~repro.parallel.journal.CheckpointJournal` when
+there is one. The result is a :class:`GridOutcome` carrying results
+*and* failures: partial success is a first-class outcome, and the
+evaluation renderers print ``FAILED(reason)`` cells plus a failure
+manifest instead of crashing. Determinism is preserved because cells are
+pure functions of their payloads and results reassemble in submission
+order — a run (cold or resumed, serial or pooled) whose cells all
+complete renders byte-identical artefacts.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
@@ -45,18 +42,11 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.faults.recovery import DegradationEvent
-from repro.obs import telemetry
 from repro.obs import tracing as obs
-from repro.parallel.grid import (
-    GridCell,
-    execute_cell,
-    fingerprint_cell,
-    resolve_jobs,
-)
-from repro.parallel.journal import CheckpointJournal
+from repro.obs.gridtrace import cell_label
+from repro.parallel.grid import GridCell, execute_cell
 from repro.parallel.pool import get_pool_manager
 
 __all__ = [
@@ -64,7 +54,6 @@ __all__ = [
     "GridError",
     "GridOutcome",
     "GridPolicy",
-    "run_cells_supervised",
 ]
 
 # Supervisor poll interval: how often in-flight futures are checked for
@@ -139,6 +128,8 @@ class GridPolicy:
             raise ValueError("backoff_initial_s must be non-negative")
         if self.backoff_multiplier < 1.0:
             raise ValueError("backoff_multiplier must be at least 1")
+        if self.backoff_max_s < 0:
+            raise ValueError("backoff_max_s must be non-negative")
 
     def backoff(self, failures: int) -> float:
         """Backoff before the retry that follows the ``failures``-th failure."""
@@ -173,8 +164,7 @@ class CellFailure:
     @property
     def label(self) -> str:
         """Short display label: the payload's ``name`` when it has one."""
-        name = self.cell.payload.get("name")
-        return str(name) if name is not None else f"cell#{self.index}"
+        return cell_label(self.cell.payload, self.index)
 
     def describe(self) -> str:
         """One-line rendering for failure manifests."""
@@ -187,7 +177,7 @@ class CellFailure:
 
 @dataclass
 class GridOutcome:
-    """Everything a supervised grid run produced.
+    """Everything a grid run produced.
 
     Attributes:
         results: per-cell results in submission order; a failed cell's
@@ -222,109 +212,6 @@ class GridOutcome:
                 f"{len(self.failures)} grid cell(s) failed: {manifest}"
             )
         return self.results
-
-
-def run_cells_supervised(
-    cells: Sequence[GridCell],
-    jobs: int | None = None,
-    policy: GridPolicy | None = None,
-    journal: CheckpointJournal | str | Path | None = None,
-) -> GridOutcome:
-    """Execute ``cells`` under supervision and return a :class:`GridOutcome`.
-
-    Unlike :func:`repro.parallel.grid.run_cells`, this never raises for a
-    cell failure, a dead worker, or an expired deadline — it returns
-    whatever completed plus structured failure records. With a
-    ``journal``, completed cells are checkpointed as they finish and
-    cells already present in the journal are skipped, so an interrupted
-    run resumed over the same journal re-executes only the missing cells
-    and still produces byte-identical artefacts.
-    """
-    policy = policy if policy is not None else GridPolicy()
-    if journal is not None and not isinstance(journal, CheckpointJournal):
-        journal = CheckpointJournal(journal)
-    cells = list(cells)
-    fingerprints = [fingerprint_cell(cell) for cell in cells]
-    results: list = [None] * len(cells)
-    failures: dict[int, CellFailure] = {}
-    events: list[DegradationEvent] = []
-    resumed = 0
-
-    pending: list[int] = []
-    resumed_indices: list[int] = []
-    for index, fingerprint in enumerate(fingerprints):
-        if journal is not None:
-            hit, value = journal.lookup(fingerprint)
-            if hit:
-                results[index] = value
-                resumed += 1
-                resumed_indices.append(index)
-                continue
-        pending.append(index)
-    if resumed:
-        obs.inc("grid.cells_resumed", resumed)
-
-    # Live progress reporting. Everything below is guarded on the bus
-    # being active: telemetry off costs one global load + is-None test
-    # per settled cell, nothing else — the same discipline the tracing
-    # hooks pin. The tallies feed the heartbeat stream only; they are
-    # never consulted by the supervision logic itself.
-    grid_started = time.monotonic()
-    progress = {"done": 0, "failed": 0, "cached": 0}
-
-    def report(index: int, status: str) -> None:
-        if telemetry.current_bus() is None:
-            return
-        progress["done"] += 1
-        if status == "failed":
-            progress["failed"] += 1
-        elif status == "cached":
-            progress["cached"] += 1
-        name = cells[index].payload.get("name")
-        telemetry.emit(
-            "cell",
-            cell=str(name) if name is not None else f"cell#{index}",
-            status=status,
-            done=progress["done"],
-            total=len(cells),
-            failed=progress["failed"],
-            cached=progress["cached"],
-            eta_s=telemetry.estimate_eta_s(
-                time.monotonic() - grid_started, progress["done"], len(cells)
-            ),
-        )
-
-    if telemetry.current_bus() is not None:
-        telemetry.emit("grid-start", total=len(cells), resumed=resumed)
-        for index in resumed_indices:
-            report(index, "cached")
-
-    def checkpoint(index: int, value: object) -> None:
-        results[index] = value
-        if journal is not None:
-            journal.record(fingerprints[index], cells[index].task, value)
-
-    if pending:
-        # jobs > 1 selects the pooled path even for a single pending cell:
-        # under supervision the pool is not just a speedup but an isolation
-        # boundary (a cell that kills its process must not kill the run).
-        requested = resolve_jobs(jobs)
-        workers = min(requested, len(pending))
-        runner = _run_pooled if requested > 1 else _run_serial
-        runner(
-            cells, fingerprints, pending, workers, policy, checkpoint,
-            failures, events, report,
-        )
-
-    ordered_failures = [failures[index] for index in sorted(failures)]
-    for failure in ordered_failures:
-        results[failure.index] = failure
-    return GridOutcome(
-        results=results,
-        failures=ordered_failures,
-        events=events,
-        resumed=resumed,
-    )
 
 
 def _failure(

@@ -7,9 +7,9 @@ flips actually come from. This module reproduces that shape in
 simulation: a :class:`CampaignSpec` enumerates a deterministic sweep
 space — hammering variants × mitigation stacks (TRR / ECC combinations)
 × machine presets × per-combination test seeds — and every trial becomes
-one :class:`~repro.parallel.GridCell` scheduled through the shared grid
-dispatch seam (:func:`repro.evalsuite.gridrun.execute_grid`). That buys
-the campaign everything the scale layers already provide:
+one :class:`~repro.parallel.GridCell` run by the grid engine
+(:func:`repro.parallel.run_cells`). That buys the campaign everything
+the scale layers already provide:
 
 * crash-safe supervision (worker-death quarantine, per-cell timeouts,
   retries) with failed trials carried as first-class
@@ -44,7 +44,6 @@ from pathlib import Path
 
 from repro.dram.belief import BeliefMapping
 from repro.dram.presets import TABLE2_ORDER, preset
-from repro.evalsuite.gridrun import execute_grid
 from repro.evalsuite.reporting import render_failure_manifest, render_table
 from repro.ioutil import atomic_write
 from repro.logutil import get_logger
@@ -56,6 +55,7 @@ from repro.parallel import (
     CheckpointJournal,
     GridCell,
     GridPolicy,
+    run_cells,
 )
 from repro.rowhammer.aggressors import CompiledAggressorPlanner
 from repro.rowhammer.hammer import DoubleSidedAttack, HammerConfig
@@ -365,7 +365,7 @@ class CampaignOutcome:
     """A campaign run's results, in canonical sweep order.
 
     ``results`` holds one entry per cell: a :class:`CampaignResult`, or
-    the cell's :class:`~repro.parallel.CellFailure` under supervision.
+    the cell's :class:`~repro.parallel.CellFailure` when it failed.
     """
 
     spec: CampaignSpec
@@ -394,12 +394,13 @@ def run_campaign(
     supervision: GridPolicy | None = None,
     journal: CheckpointJournal | str | Path | None = None,
 ) -> CampaignOutcome:
-    """Run the sweep through the shared grid dispatch seam.
+    """Run the sweep through the grid engine.
 
     One grid cell per timed test. ``jobs`` fans the cells out to worker
-    processes with bit-identical results; ``supervision``/``journal``
-    run them crash-safe and resumable (a resumed campaign replays
-    completed trials from the journal and re-executes none of them).
+    processes with bit-identical results; the cells run under
+    ``supervision`` (None = default policy), and with a ``journal`` they
+    are resumable (a resumed campaign replays completed trials from the
+    journal and re-executes none of them).
     """
     cells = [
         GridCell(
@@ -427,9 +428,9 @@ def run_campaign(
         len(spec.variants),
         len(spec.mitigations),
     )
-    results = execute_grid(
-        cells, jobs=jobs, supervision=supervision, journal=journal
-    )
+    results = run_cells(
+        cells, jobs=jobs, policy=supervision, journal=journal
+    ).results
     completed = sum(1 for r in results if isinstance(r, CampaignResult))
     _LOG.info(
         "campaign: %d/%d test(s) completed, %d failed",
@@ -538,7 +539,7 @@ def _leaderboard_table(rows: list[dict]) -> str:
 def render_campaign(outcome: CampaignOutcome) -> str:
     """The campaign's human-readable artifact: leaderboard + totals.
 
-    Under supervision, failed trials render as an explicit manifest —
+    Failed trials render as an explicit manifest —
     a partial leaderboard must never read as a complete sweep.
     """
     rows = [asdict(row) for row in build_leaderboard(outcome)]

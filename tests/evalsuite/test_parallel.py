@@ -113,9 +113,12 @@ class TestExecuteCell:
             GridCell("repro.analysis.bits:parity", {"value": 1}),
             cell,
         ]
-        with pytest.raises(CellExecutionError) as excinfo:
-            run_cells(cells, jobs=2)
-        assert cell.task in str(excinfo.value)
+        outcome = run_cells(cells, jobs=2)
+        assert outcome.results[0] == 1  # the neighbour's result is intact
+        [failure] = outcome.failures
+        assert failure.index == 1 and failure.reason == "error"
+        assert cell.task in failure.detail
+        assert fingerprint_cell(cell)[:12] in failure.detail
 
 
 class TestRunCells:
@@ -124,17 +127,19 @@ class TestRunCells:
             GridCell("repro.analysis.bits:parity", {"value": value})
             for value in (0b0, 0b1, 0b11, 0b111)
         ]
-        assert run_cells(cells) == [0, 1, 0, 1]
+        assert run_cells(cells).results == [0, 1, 0, 1]
 
     def test_empty_input(self):
-        assert run_cells([]) == []
+        assert run_cells([]).results == []
 
     def test_parallel_preserves_order(self):
         cells = [
             GridCell("repro.analysis.bits:parity", {"value": value})
             for value in range(8)
         ]
-        assert run_cells(cells, jobs=4) == [run_cells([cell])[0] for cell in cells]
+        assert run_cells(cells, jobs=4).results == [
+            execute_cell(cell) for cell in cells
+        ]
 
 
 class TestCrossProcessIdentity:

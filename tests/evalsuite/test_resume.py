@@ -187,3 +187,35 @@ class TestTable3Partial:
         assert "FAILED(run-deadline)" in rendered
         assert "No.2" in rendered
         assert "grid failures (1 cell(s) unrecovered):" in rendered
+
+
+class TestTable2Grid:
+    def test_journal_resume_replays_every_row(self, tmp_path, monkeypatch):
+        import repro.evalsuite.table2 as table2
+
+        journal_path = tmp_path / "journal.jsonl"
+        first = table2.run_table2(seed=1, machines=PANEL, journal=journal_path)
+
+        def refuse(name, seed, config):
+            raise AssertionError(f"{name} re-executed despite its journal record")
+
+        monkeypatch.setattr(table2, "table2_machine_cell", refuse)
+        second = table2.run_table2(seed=1, machines=PANEL, journal=journal_path)
+        assert second == first
+
+    def test_failed_machine_renders_row_and_manifest(self, monkeypatch):
+        import repro.evalsuite.table2 as table2
+
+        real = table2.table2_machine_cell
+
+        def sabotage(name, seed, config):
+            if name == "No.4":
+                raise RuntimeError("injected cell failure")
+            return real(name, seed, config)
+
+        monkeypatch.setattr(table2, "table2_machine_cell", sabotage)
+        rows = table2.run_table2(seed=1, machines=PANEL)
+        assert isinstance(rows[1], CellFailure)
+        rendered = table2.render_table2(rows)
+        assert "FAILED(error)" in rendered
+        assert "grid failures (" in rendered

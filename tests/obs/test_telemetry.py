@@ -13,10 +13,11 @@ import os
 
 import pytest
 
+from repro.evalsuite.figure2 import run_figure2
 from repro.evalsuite.table1 import run_table1
 from repro.ioutil import atomic_append
 from repro.obs import telemetry
-from repro.parallel import GridCell, run_cells_supervised
+from repro.parallel import GridCell, run_cells
 
 
 def _parity_cells(count):
@@ -139,7 +140,7 @@ class TestRenderEvent:
 def _supervised_stream(tmp_path, name, cells, journal=None, jobs=None):
     path = tmp_path / name
     with telemetry.activate_bus(telemetry.TelemetryBus(path)):
-        outcome = run_cells_supervised(cells, jobs=jobs, journal=journal)
+        outcome = run_cells(cells, jobs=jobs, journal=journal)
     return path, outcome
 
 
@@ -198,11 +199,25 @@ class TestGridTelemetry:
             run_table1(seed=1, machines=("No.1",), determinism_runs=2, jobs=2)
         events = telemetry.load_events(path)
         kinds = {e["kind"] for e in events}
-        assert "grid" in kinds
+        assert "grid-start" in kinds
         phases = [e for e in events if e["kind"] == "phase"]
         assert phases
         assert all(e["source"] == "worker" for e in phases)
         assert all(e["pid"] != os.getpid() for e in phases)
+
+    def test_unflagged_pooled_grid_streams_progress(self, tmp_path):
+        path = tmp_path / "figure2.jsonl"
+        machines = ("No.1", "No.4")
+        with telemetry.activate_bus(telemetry.TelemetryBus(path)):
+            run_figure2(seed=1, machines=machines, jobs=2)
+        events = telemetry.load_events(path)
+        starts = [e for e in events if e["kind"] == "grid-start"]
+        assert [(e["experiment"], e["total"], e["resumed"]) for e in starts] == [
+            ("figure2", 2, 0)
+        ]
+        cells = _cell_events(path)
+        assert sorted(e["cell"] for e in cells) == list(machines)
+        assert all(e["status"] == "ok" for e in cells)
 
     def test_streams_equivalent_across_jobs(self, tmp_path):
         def stream(jobs, name):

@@ -1,9 +1,10 @@
-"""Tests for the supervised grid runner (worker death, hangs, retries).
+"""Tests for the supervised grid engine (worker death, hangs, retries).
 
 The pooled tests spawn real worker processes and inject real process
 death (``os._exit``), so they are slower than the serial ones; they are
 the regression for the load-bearing claim that ``BrokenProcessPool``
-never reaches a caller of :func:`run_cells_supervised`.
+never reaches a caller of :func:`run_cells`. Results are checked against
+:func:`execute_cell` run directly in the test process.
 """
 
 import pytest
@@ -13,8 +14,8 @@ from repro.parallel import (
     GridCell,
     GridError,
     GridPolicy,
+    execute_cell,
     run_cells,
-    run_cells_supervised,
 )
 
 
@@ -22,6 +23,10 @@ def _parity_cells(values):
     return [
         GridCell("repro.analysis.bits:parity", {"value": value}) for value in values
     ]
+
+
+def _direct(cells):
+    return [execute_cell(cell) for cell in cells]
 
 
 class TestGridPolicy:
@@ -39,6 +44,7 @@ class TestGridPolicy:
             {"retries": -1},
             {"backoff_initial_s": -0.1},
             {"backoff_multiplier": 0.5},
+            {"backoff_max_s": -1.0},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
@@ -57,13 +63,13 @@ class TestGridPolicy:
 class TestSerialSupervised:
     def test_matches_fail_fast_results(self):
         cells = _parity_cells([0b0, 0b1, 0b11, 0b111])
-        outcome = run_cells_supervised(cells)
+        outcome = run_cells(cells)
         assert outcome.complete
         assert not outcome.degraded
-        assert outcome.results == run_cells(cells)
+        assert outcome.results == _direct(cells)
 
     def test_empty_input(self):
-        outcome = run_cells_supervised([])
+        outcome = run_cells([])
         assert outcome.results == []
         assert outcome.complete
 
@@ -74,7 +80,7 @@ class TestSerialSupervised:
                 {"scratch": str(tmp_path), "key": "always", "fail_times": 99},
             )
         ] + _parity_cells([3])
-        outcome = run_cells_supervised(cells)
+        outcome = run_cells(cells)
         assert not outcome.complete
         assert [f.index for f in outcome.failures] == [1]
         assert outcome.failures[0].reason == "error"
@@ -93,7 +99,7 @@ class TestSerialSupervised:
              "value": "won"},
         )
         policy = GridPolicy(retries=2, backoff_initial_s=0.01, backoff_max_s=0.02)
-        outcome = run_cells_supervised([cell], policy=policy)
+        outcome = run_cells([cell], policy=policy)
         assert outcome.complete
         assert outcome.results == ["won"]
         assert invocations(str(tmp_path), "flaky") == 3
@@ -107,7 +113,7 @@ class TestSerialSupervised:
             {"scratch": str(tmp_path), "key": "stubborn", "fail_times": 99},
         )
         policy = GridPolicy(retries=1, backoff_initial_s=0.01)
-        outcome = run_cells_supervised([cell], policy=policy)
+        outcome = run_cells([cell], policy=policy)
         assert not outcome.complete
         assert outcome.failures[0].attempts == 2
 
@@ -120,7 +126,7 @@ class TestSerialSupervised:
             _parity_cells([1])[0],
         ]
         policy = GridPolicy(run_deadline_s=0.1)
-        outcome = run_cells_supervised(cells, policy=policy)
+        outcome = run_cells(cells, policy=policy)
         # serial runs cannot pre-empt a cell, so the first finishes;
         # the second is refused because the deadline has passed
         assert outcome.results[0] == "slow-but-done"
@@ -138,12 +144,12 @@ class TestJournalledRuns:
             for i in range(4)
         ]
         journal_path = tmp_path / "journal.jsonl"
-        first = run_cells_supervised(cells, journal=journal_path)
+        first = run_cells(cells, journal=journal_path)
         assert first.complete
         assert first.resumed == 0
         assert first.results == [0, 10, 20, 30]
 
-        second = run_cells_supervised(cells, journal=journal_path)
+        second = run_cells(cells, journal=journal_path)
         assert second.complete
         assert second.resumed == 4
         assert second.results == first.results
@@ -159,10 +165,10 @@ class TestJournalledRuns:
             )
         ]
         journal_path = tmp_path / "journal.jsonl"
-        outcome = run_cells_supervised(cells, journal=journal_path)
+        outcome = run_cells(cells, journal=journal_path)
         assert not outcome.complete
         # a rerun executes the cell again (it was never checkpointed)
-        rerun = run_cells_supervised(cells, journal=journal_path)
+        rerun = run_cells(cells, journal=journal_path)
         assert rerun.resumed == 0
         assert not rerun.complete
 
@@ -172,9 +178,9 @@ class TestPooledSupervised:
 
     def test_pooled_matches_fail_fast_results(self):
         cells = _parity_cells(list(range(8)))
-        outcome = run_cells_supervised(cells, jobs=2)
+        outcome = run_cells(cells, jobs=2)
         assert outcome.complete
-        assert outcome.results == run_cells(cells)
+        assert outcome.results == _direct(cells)
 
     def test_worker_death_is_contained(self):
         """A cell that kills its worker fails alone; the run survives.
@@ -189,10 +195,10 @@ class TestPooledSupervised:
             + [GridCell("repro.faults.gridfaults:poison_cell", {})]
             + _parity_cells([4, 7])
         )
-        outcome = run_cells_supervised(cells, jobs=2)
+        outcome = run_cells(cells, jobs=2)
         assert [f.index for f in outcome.failures] == [2]
         assert outcome.failures[0].reason == "worker-death"
-        expected = run_cells(_parity_cells([1, 2, 4, 7]))
+        expected = _direct(_parity_cells([1, 2, 4, 7]))
         survivors = [r for i, r in enumerate(outcome.results) if i != 2]
         assert survivors == expected
         respawns = [e for e in outcome.events if e.action == "respawn"]
@@ -206,7 +212,7 @@ class TestPooledSupervised:
             )
         ]
         policy = GridPolicy(retries=1, backoff_initial_s=0.01)
-        outcome = run_cells_supervised(cells, jobs=2, policy=policy)
+        outcome = run_cells(cells, jobs=2, policy=policy)
         assert outcome.complete
         assert outcome.results == [1, "second-try"]
         assert outcome.degraded  # the recovery is documented, not silent
@@ -216,8 +222,8 @@ class TestPooledSupervised:
             GridCell("repro.faults.gridfaults:hang_cell", {"seconds": 3600.0})
         ]
         policy = GridPolicy(cell_timeout_s=1.5)
-        outcome = run_cells_supervised(cells, jobs=2, policy=policy)
+        outcome = run_cells(cells, jobs=2, policy=policy)
         assert [f.index for f in outcome.failures] == [2]
         assert outcome.failures[0].reason == "timeout"
-        assert outcome.results[:2] == run_cells(_parity_cells([1, 2]))
+        assert outcome.results[:2] == _direct(_parity_cells([1, 2]))
         assert any(e.action == "timeout" for e in outcome.events)

@@ -130,36 +130,16 @@ def test_grid_flags_build_supervision(monkeypatch, capsys):
     assert seen["supervision"].run_deadline_s is None
 
 
-def test_resume_alone_enables_supervision(monkeypatch, capsys):
+def test_default_and_resume_flags_pass_default_policy(monkeypatch, capsys):
+    """Unflagged and --resume-only runs both get the default GridPolicy."""
     import repro.cli as cli
     from repro.evalsuite.table1 import ToolVerdict
+    from repro.parallel import GridPolicy
 
-    seen = {}
-
-    def fake_run_table1(seed, jobs, supervision, journal):
-        seen.update(supervision=supervision, journal=journal)
-        return [
-            ToolVerdict(
-                tool="DRAMDig", generic=True, efficient=True,
-                deterministic=True, successes=1, panel_size=1,
-                median_seconds=1.0,
-            )
-        ]
-
-    monkeypatch.setattr(cli, "run_table1", fake_run_table1)
-    assert main(["table1", "--resume", "j.jsonl"]) == 0
-    assert seen["journal"] == "j.jsonl"
-    assert seen["supervision"] is not None
-
-
-def test_default_grid_flags_keep_fail_fast_path(monkeypatch, capsys):
-    import repro.cli as cli
-    from repro.evalsuite.table1 import ToolVerdict
-
-    seen = {}
+    seen = []
 
     def fake_run_table1(seed, jobs, supervision, journal):
-        seen.update(supervision=supervision, journal=journal)
+        seen.append((supervision, journal))
         return [
             ToolVerdict(
                 tool="DRAMDig", generic=True, efficient=True,
@@ -170,8 +150,27 @@ def test_default_grid_flags_keep_fail_fast_path(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_table1", fake_run_table1)
     assert main(["table1"]) == 0
-    assert seen["supervision"] is None
-    assert seen["journal"] is None
+    assert main(["table1", "--resume", "j.jsonl"]) == 0
+    assert seen == [(GridPolicy(), None), (GridPolicy(), "j.jsonl")]
+
+
+def test_unflagged_figure2_renders_a_failed_cell(monkeypatch, capsys):
+    """A failing cell renders as FAILED with a manifest, exit 1, no flags."""
+    import repro.evalsuite.figure2 as figure2
+
+    def stub_cell(name, seed, dramdig_config, drama_config):
+        if name == "No.4":
+            raise RuntimeError("injected cell failure")
+        return figure2.Figure2Point(
+            machine=name, dramdig_seconds=60.0, drama_seconds=600.0,
+            drama_timed_out=False, dramdig_pool_size=1000,
+        )
+
+    monkeypatch.setattr(figure2, "figure2_machine_cell", stub_cell)
+    assert main(["figure2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED(error)" in out
+    assert "grid failures (" in out
 
 
 def test_partial_table1_exits_nonzero(monkeypatch, capsys):
