@@ -130,11 +130,10 @@ def test_grid_flags_build_supervision(monkeypatch, capsys):
     assert seen["supervision"].run_deadline_s is None
 
 
-def test_default_and_resume_flags_pass_default_policy(monkeypatch, capsys):
-    """Unflagged and --resume-only runs both get the default GridPolicy."""
+def _capture_table1_grid_args(monkeypatch):
+    """Stub run_table1; return the list its (supervision, journal) land in."""
     import repro.cli as cli
     from repro.evalsuite.table1 import ToolVerdict
-    from repro.parallel import GridPolicy
 
     seen = []
 
@@ -149,9 +148,32 @@ def test_default_and_resume_flags_pass_default_policy(monkeypatch, capsys):
         ]
 
     monkeypatch.setattr(cli, "run_table1", fake_run_table1)
-    assert main(["table1"]) == 0
+    return seen
+
+
+def test_resume_alone_enables_supervision(monkeypatch, capsys):
+    """--resume alone passes its journal with the default GridPolicy."""
+    from repro.parallel import GridPolicy
+
+    seen = _capture_table1_grid_args(monkeypatch)
     assert main(["table1", "--resume", "j.jsonl"]) == 0
-    assert seen == [(GridPolicy(), None), (GridPolicy(), "j.jsonl")]
+    assert seen == [(GridPolicy(), "j.jsonl")]
+
+
+def test_default_grid_flags_keep_fail_fast_path(monkeypatch, capsys):
+    """Unflagged runs get GridPolicy() and no journal.
+
+    The default policy has no retries and no timeouts, so a failing cell
+    fails at its first attempt.
+    """
+    from repro.parallel import GridPolicy
+
+    seen = _capture_table1_grid_args(monkeypatch)
+    assert main(["table1"]) == 0
+    assert seen == [(GridPolicy(), None)]
+    assert seen[0][0].retries == 0
+    assert seen[0][0].cell_timeout_s is None
+    assert seen[0][0].run_deadline_s is None
 
 
 def test_unflagged_figure2_renders_a_failed_cell(monkeypatch, capsys):
