@@ -9,9 +9,11 @@ every entry of :data:`WORKLOADS`:
 
 1. *reference*: run uninterrupted, without a journal, with ``--trace``,
    ``--history H`` and ``--telemetry R`` (its own stream);
-2. *victim*: run with ``--resume J`` and ``--telemetry S`` (plus
-   ``--knowledge-store K`` where the workload takes one), and kill -9
-   it once ``J`` holds more records than the workload's baseline;
+2. *victim*: run with ``--resume J``, ``--telemetry S`` and ``--trace``
+   (plus ``--knowledge-store K`` where the workload takes one) and with
+   ``TMPDIR`` set to a fresh ``victim-tmp`` directory, and kill -9 it
+   once ``J`` holds more records than the workload's baseline (the kill
+   means its trace is never written);
 3. *resumed*: run again over the same ``J``, ``S`` and ``K``, with
    ``--trace`` and ``--history H``;
 4. *replay*: run a fourth time over the completed ``J`` and ``K``, with
@@ -22,6 +24,7 @@ Gates, on every workload:
 * the resumed and replay stdout, and the ``--out`` file where the
   workload writes one, are byte-identical to the reference;
 * the kill left at least one cell record in ``J`` beyond the baseline;
+* the victim, killed or not, left no file in its ``TMPDIR``;
 * telemetry continuity: an event reached ``S`` before the kill, at most
   one line of ``S`` fails to parse, the last event is a ``run-end``
   with code 0, and the events come from at least two processes;
@@ -156,11 +159,12 @@ def complete(role: str, argv: list[str]) -> str:
     return result.stdout
 
 
-def kill_once_checkpointed(argv: list[str], journal: Path, baseline: int) -> int:
+def kill_once_checkpointed(argv: list[str], journal: Path, baseline: int,
+                           tmpdir: Path) -> int:
     """Run the victim, SIGKILL it once it journals a cell; its exit code."""
     start = time.monotonic()
     victim = subprocess.Popen(
-        [*CLI, *argv], cwd=REPO, env=ENV,
+        [*CLI, *argv], cwd=REPO, env={**ENV, "TMPDIR": str(tmpdir)},
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
@@ -195,11 +199,18 @@ def run_workload(work: Workload, root: Path) -> tuple[list[str], str]:
         work, root, "reference", telemetry="reference-telemetry.jsonl",
         history=True, trace=True))
 
+    victim_tmp = root / "victim-tmp"
+    victim_tmp.mkdir()
     code = kill_once_checkpointed(
-        command(work, root, "victim", journal=True, telemetry=stream.name),
-        journal, work.baseline,
+        command(work, root, "victim", journal=True, telemetry=stream.name,
+                trace=True),
+        journal, work.baseline, victim_tmp,
     )
     killed = code == -signal.SIGKILL
+    leftovers = sorted(str(path.relative_to(victim_tmp))
+                       for path in victim_tmp.rglob("*") if path.is_file())
+    gate(not leftovers, f"the victim left {len(leftovers)} file(s) in its "
+                        f"TMPDIR: {', '.join(leftovers[:5])}")
     survivors = cell_records(journal) - work.baseline
     heartbeats = len(read_jsonl(stream)[0])
     if killed:

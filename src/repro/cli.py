@@ -59,113 +59,60 @@ __all__ = ["main"]
 _LOG = get_logger("repro.cli")
 
 
-def _jobs_arg(text: str) -> int:
-    """Worker count for the evaluation grid: a positive int, or -1 (all CPUs).
+def _checked(cast, rejects, message: str):
+    """An argparse ``type=`` that parses with ``cast`` and refuses what
+    ``rejects`` flags.
 
-    Rejected at the argparse layer so ``--jobs 0`` / ``--jobs -8`` fail
-    with a usage message instead of surfacing later as an opaque
-    multiprocessing error.
+    Bad values fail at the argparse layer with a usage message (``--jobs
+    0`` would otherwise surface later as an opaque multiprocessing
+    error). ``message`` is formatted with the parsed ``value`` and the
+    raw ``text``.
     """
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs == 0 or jobs < -1:
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be a positive integer or -1 for all CPUs (got {jobs})"
-        )
-    return jobs
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {text!r}"
+            ) from None
+        if rejects(value):
+            raise argparse.ArgumentTypeError(message.format(value=value, text=text))
+        return value
+
+    return parse
 
 
-def _retries_arg(text: str) -> int:
-    """Non-negative pipeline restart budget."""
-    try:
-        retries = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if retries < 0:
-        raise argparse.ArgumentTypeError(
-            f"--max-retries must be non-negative (got {retries})"
-        )
-    return retries
-
-
-def _grid_retries_arg(text: str) -> int:
-    """Non-negative per-cell retry budget for supervised grid runs."""
-    try:
-        retries = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if retries < 0:
-        raise argparse.ArgumentTypeError(
-            f"--grid-retries must be non-negative (got {retries})"
-        )
-    return retries
-
-
-def _seconds_arg(text: str) -> float:
-    """Positive wall-clock budget in seconds."""
-    try:
-        seconds = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if seconds <= 0:
-        raise argparse.ArgumentTypeError(
-            f"timeout must be a positive number of seconds (got {text})"
-        )
-    return seconds
-
-
-def _tests_arg(text: str) -> int:
-    """At least one timed test."""
-    try:
-        tests = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if tests < 1:
-        raise argparse.ArgumentTypeError(
-            f"--tests must be a positive integer (got {tests})"
-        )
-    return tests
-
-
-def _duration_arg(text: str) -> float:
-    """Positive simulated test length (minutes or seconds, per flag)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"test duration must be positive (got {text})"
-        )
-    return value
-
-
-def _decoy_rows_arg(text: str) -> int:
-    """Non-negative decoy-row count for many-sided hammering."""
-    try:
-        decoys = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if decoys < 0:
-        raise argparse.ArgumentTypeError(
-            f"--decoy-rows must be non-negative (got {decoys})"
-        )
-    return decoys
-
-
-def _vulnerability_arg(text: str) -> float:
-    """Weak-cell density override: a probability-like value in [0, 1]."""
-    try:
-        vulnerability = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 <= vulnerability <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"--vulnerability must be within [0, 1] (got {text})"
-        )
-    return vulnerability
+_jobs_arg = _checked(
+    int, lambda jobs: jobs == 0 or jobs < -1,
+    "--jobs must be a positive integer or -1 for all CPUs (got {value})",
+)
+_retries_arg = _checked(
+    int, lambda retries: retries < 0,
+    "--max-retries must be non-negative (got {value})",
+)
+_grid_retries_arg = _checked(
+    int, lambda retries: retries < 0,
+    "--grid-retries must be non-negative (got {value})",
+)
+_seconds_arg = _checked(
+    float, lambda seconds: seconds <= 0,
+    "timeout must be a positive number of seconds (got {text})",
+)
+_tests_arg = _checked(
+    int, lambda tests: tests < 1, "--tests must be a positive integer (got {value})"
+)
+# Simulated test length, in minutes or seconds per flag.
+_duration_arg = _checked(
+    float, lambda value: value <= 0, "test duration must be positive (got {text})"
+)
+_decoy_rows_arg = _checked(
+    int, lambda decoys: decoys < 0, "--decoy-rows must be non-negative (got {value})"
+)
+_vulnerability_arg = _checked(
+    float, lambda density: not 0.0 <= density <= 1.0,
+    "--vulnerability must be within [0, 1] (got {text})",
+)
 
 
 def _grid_options(args):
@@ -474,8 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             default=None,
             help="write one merged JSONL trace of the whole grid run here "
-            "(per-cell span files are stitched across worker processes; "
-            "journal-resumed cells appear as 'cached' spans)",
+            "(each cell's spans come back with its result and are stitched "
+            "in cell order; journal-resumed cells appear as 'cached' spans)",
         )
 
     fleet_cmd = commands.add_parser(
@@ -1136,15 +1083,10 @@ def _record_history(args, code: int, wall_s: float, tracer) -> None:
     sim_ns = None
     metrics = None
     if tracer is not None:
-        from repro.obs.analytics import span_weight_index
+        from repro.obs.analytics import total_sim_ns
         from repro.obs.export import TraceFile
 
-        weights = span_weight_index(TraceFile(spans=list(tracer.spans)))
-        total = sum(
-            weights[record.span_id]
-            for record in tracer.spans
-            if record.parent_id is None
-        )
+        total = total_sim_ns(TraceFile(spans=list(tracer.spans)))
         sim_ns = total if total > 0 else None
         metrics = tracer.metrics.snapshot()
     record_run(
@@ -1163,8 +1105,8 @@ def main(argv: list[str] | None = None) -> int:
 
     With ``--trace PATH`` the whole command runs under an activated
     tracer, and the collected spans and metrics are exported as one
-    JSONL file afterwards — grid commands stitch their workers' span
-    files into the same trace. With ``--telemetry PATH`` a live event
+    JSONL file afterwards — grid commands stitch the spans their cells
+    return into the same trace. With ``--telemetry PATH`` a live event
     bus is activated for the same extent and progress events stream to
     PATH as they happen. Without the flags both globals stay ``None``
     and every instrumented hot path reduces to a single is-None test.

@@ -11,9 +11,9 @@ instead of trusting one flat ``phase_seconds`` dict:
   probe, the partitioner, the recovery stack and the grid supervisor;
 * :mod:`repro.obs.export` — the JSONL trace format (written through
   :func:`repro.ioutil.atomic_write`, loadable for analysis);
-* :mod:`repro.obs.gridtrace` — per-cell trace files written by grid
-  workers and stitched into one merged trace by the parent, including
-  ``cached`` spans for journal-resumed cells;
+* :mod:`repro.obs.gridtrace` — per-cell traces returned by grid cells
+  with their values and stitched into one merged trace by the parent,
+  including ``cached`` spans for journal-resumed cells;
 * :mod:`repro.obs.summary` — the ``dramdig trace summary`` renderer
   (span-tree text flamegraph + metrics table) and consistency gate.
 

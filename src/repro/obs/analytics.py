@@ -22,6 +22,7 @@ runs. Wall seconds are reported alongside but never gated on.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro.obs.export import TraceFile, _children_index
@@ -35,17 +36,28 @@ __all__ = [
     "render_critical_path",
     "render_diff",
     "span_weight_index",
+    "total_sim_ns",
 ]
 
 
-def span_weight_index(trace: TraceFile) -> dict[int, float]:
+def _is_excluded(path: str, excluded: Collection[str]) -> bool:
+    """True for an excluded span path and for every path below one."""
+    return path in excluded or any(
+        path.startswith(prefix + "/") for prefix in excluded
+    )
+
+
+def span_weight_index(
+    trace: TraceFile, excluded: Collection[str] = ()
+) -> dict[int, float]:
     """Simulated weight per span id, filling gaps from below.
 
     A span that recorded sim bounds uses its own duration. A span with
     no sim clock (grid orchestration, ``cell:`` wrappers) inherits the
     sum of its children's weights, recursively — so the grid root ends
     up carrying the total simulated cost of everything under it and the
-    critical-path descent never dead-ends on a bookkeeping span.
+    critical-path descent never dead-ends on a bookkeeping span. Spans
+    in ``excluded`` subtrees weigh nothing.
     """
     children = _children_index(trace.spans)
     weights: dict[int, float] = {}
@@ -54,7 +66,7 @@ def span_weight_index(trace: TraceFile) -> dict[int, float]:
         cached = weights.get(span.span_id)
         if cached is not None:
             return cached
-        own = span.sim_ns
+        own = 0.0 if _is_excluded(span.path, excluded) else span.sim_ns
         if own is None:
             own = sum(weigh(child) for child in children.get(span.span_id, []))
         weights[span.span_id] = own
@@ -63,6 +75,20 @@ def span_weight_index(trace: TraceFile) -> dict[int, float]:
     for span in trace.spans:
         weigh(span)
     return weights
+
+
+def total_sim_ns(trace: TraceFile, excluded: Collection[str] = ()) -> float:
+    """Total simulated time: the root spans' weights summed.
+
+    A span with its own sim bounds contributes its duration; a span
+    without (grid roots, ``cell:`` wrappers) contributes its children's
+    total instead — never both, so nothing is double-counted. Excluded
+    subtrees contribute zero.
+    """
+    weights = span_weight_index(trace, excluded)
+    return sum(
+        weights[span.span_id] for span in trace.spans if span.parent_id is None
+    )
 
 
 @dataclass
@@ -129,13 +155,10 @@ def _aggregate(trace: TraceFile, excluded: set[str]) -> dict[str, dict]:
     """Per-path totals over spans outside the excluded subtrees."""
     totals: dict[str, dict] = {}
     for span in trace.spans:
-        path = span.path
-        if path in excluded or any(
-            path.startswith(prefix + "/") for prefix in excluded
-        ):
+        if _is_excluded(span.path, excluded):
             continue
         entry = totals.setdefault(
-            path, {"count": 0, "sim_ns": 0.0, "wall_s": 0.0, "has_sim": False}
+            span.path, {"count": 0, "sim_ns": 0.0, "wall_s": 0.0, "has_sim": False}
         )
         entry["count"] += 1
         entry["wall_s"] += span.wall_s
@@ -144,29 +167,6 @@ def _aggregate(trace: TraceFile, excluded: set[str]) -> dict[str, dict]:
             entry["sim_ns"] += sim_ns
             entry["has_sim"] = True
     return totals
-
-
-def _total_sim_ns(trace: TraceFile, excluded: set[str]) -> float:
-    """Total simulated time, descending past clockless bookkeeping spans.
-
-    A span with its own sim bounds contributes its duration; a span
-    without (grid roots, ``cell:`` wrappers) contributes its children's
-    total instead — never both, so nothing is double-counted. Excluded
-    subtrees contribute zero on both sides of the diff.
-    """
-    children = _children_index(trace.spans)
-
-    def weigh(span: SpanRecord) -> float:
-        if span.path in excluded or any(
-            span.path.startswith(prefix + "/") for prefix in excluded
-        ):
-            return 0.0
-        own = span.sim_ns
-        if own is not None:
-            return own
-        return sum(weigh(child) for child in children.get(span.span_id, []))
-
-    return sum(weigh(root) for root in children.get(None, []))
 
 
 @dataclass
@@ -258,8 +258,8 @@ def diff_traces(
 
     return TraceDiff(
         rows=rows,
-        base_total_ns=_total_sim_ns(base, excluded),
-        other_total_ns=_total_sim_ns(other, excluded),
+        base_total_ns=total_sim_ns(base, excluded),
+        other_total_ns=total_sim_ns(other, excluded),
         excluded_paths=sorted(excluded),
         tolerance=tolerance,
     )

@@ -2,51 +2,40 @@
 
 A traced grid run has two halves:
 
-* **cell side** — :func:`repro.parallel.grid.execute_cell` finds the
-  reserved ``_trace_*`` payload keys this module injected, runs the cell
-  under its own fresh :class:`~repro.obs.tracing.Tracer` (one root span
-  per cell), and writes the cell's spans + metrics to a private JSONL
-  file via :func:`~repro.ioutil.atomic_write`. This works identically
-  in-process (``--jobs 1``) and in a spawned worker, because
-  :func:`~repro.obs.tracing.activate` isolates the cell's span stack
-  either way — the merged trace cannot depend on where a cell ran.
-* **parent side** — after the grid completes, :func:`stitch_cell_traces`
-  walks the cells *in submission order*, grafting each cell file under
-  the grid span (ids re-allocated, paths re-prefixed, metrics folded
-  in). A cell with no file is either a journal hit (``--resume``) —
-  recorded as a ``cached`` span, zero re-execution — or a
+* **cell side** — :func:`repro.parallel.grid.execute_cell`, given the
+  cell's label, runs it through :func:`run_cell_traced`: under its own
+  fresh :class:`~repro.obs.tracing.Tracer`, in one ``cell:<label>`` root
+  span, returning the cell's spans and metric snapshot with its value.
+  This works identically in-process (``--jobs 1``) and in a spawned
+  worker, where the return value crosses the pool's result pipe,
+  because :func:`~repro.obs.tracing.activate` isolates the cell's span
+  stack either way — the merged trace cannot depend on where a cell ran.
+* **parent side** — the grid keeps each returned trace, and after the
+  grid completes :func:`stitch_cell_traces` walks the cells *in
+  submission order*, grafting each trace under the grid span (ids
+  re-allocated, paths re-prefixed, metrics folded in). A cell that
+  returned no trace is either a journal hit (``--resume``) — recorded as
+  a ``cached`` span, zero re-execution — or a
   :class:`~repro.parallel.supervisor.CellFailure`, recorded as a
   ``failed`` span carrying the failure's reason and attempt count.
 
-The reserved keys start with ``_`` and are therefore excluded from
-:func:`~repro.parallel.grid.fingerprint_cell`: a traced run and an
-untraced run share checkpoint-journal fingerprints, so tracing can be
-turned on for a resumed run (or off for a fresh one) without
-invalidating the journal.
+Cells are dispatched unchanged, so a traced run and an untraced run
+share checkpoint-journal fingerprints: tracing can be turned on for a
+resumed run (or off for a fresh one) without invalidating the journal.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
-from pathlib import Path
+from collections.abc import Mapping, Sequence
 
-from repro.obs.export import export_trace, load_trace
 from repro.obs.tracing import SpanRecord, Tracer, activate
 
 __all__ = [
-    "TRACE_DIR_KEY",
-    "TRACE_LABEL_KEY",
-    "TRACE_NAME_KEY",
     "cell_label",
     "run_cell_traced",
     "stitch_cell_traces",
-    "traced_cells",
 ]
-
-TRACE_DIR_KEY = "_trace_dir"
-TRACE_NAME_KEY = "_trace_name"
-TRACE_LABEL_KEY = "_trace_label"
 
 
 def cell_label(payload: dict, index: int) -> str:
@@ -55,40 +44,20 @@ def cell_label(payload: dict, index: int) -> str:
     return str(name) if name is not None else f"cell#{index}"
 
 
-def traced_cells(cells: Sequence, trace_dir: str | Path) -> list:
-    """Copies of ``cells`` with per-cell trace destinations injected.
+def run_cell_traced(function, payload: dict, label: str):
+    """Execute one cell under its own tracer; return its trace with it.
 
-    The injected keys are reserved (``_``-prefixed): stripped before the
-    worker function is called and ignored by cell fingerprinting.
-    """
-    directory = str(trace_dir)
-    out = []
-    for index, cell in enumerate(cells):
-        payload = dict(cell.payload)
-        payload[TRACE_DIR_KEY] = directory
-        payload[TRACE_NAME_KEY] = f"cell-{index:04d}"
-        payload[TRACE_LABEL_KEY] = cell_label(cell.payload, index)
-        out.append(dataclasses.replace(cell, payload=payload))
-    return out
-
-
-def run_cell_traced(function, kwargs: dict, payload: dict):
-    """Execute one cell under its own tracer; write its trace on success.
-
-    The file is written only when the cell completes: a failed attempt
-    leaves no partial trace behind (a supervised retry that later
-    succeeds writes the successful attempt; a cell that never succeeds
-    is represented by the parent as a ``failed`` span instead).
+    Returns ``(value, spans, metrics)``. A failed attempt raises and so
+    returns no partial trace (a supervised retry that later succeeds
+    returns the successful attempt's; a cell that never succeeds is
+    represented by the parent as a ``failed`` span instead).
     """
     tracer = Tracer()
-    label = payload.get(TRACE_LABEL_KEY, kwargs.get("name", "cell"))
     with activate(tracer):
         with tracer.span(f"cell:{label}") as scope:
-            value = function(**kwargs)
+            value = function(**payload)
             scope.set("task_ok", True)
-    destination = Path(payload[TRACE_DIR_KEY]) / f"{payload[TRACE_NAME_KEY]}.jsonl"
-    export_trace(destination, tracer, meta={"cell": label})
-    return value
+    return value, tracer.spans, tracer.metrics.snapshot()
 
 
 def _graft(tracer: Tracer, parent: SpanRecord, spans: list[SpanRecord]) -> None:
@@ -117,27 +86,27 @@ def stitch_cell_traces(
     grid_span: SpanRecord,
     cells: Sequence,
     results: Sequence,
-    trace_dir: str | Path,
+    traces: Mapping[int, tuple],
 ) -> dict:
-    """Merge per-cell trace files into the parent tracer, in cell order.
+    """Merge the cells' returned traces into the parent tracer, in cell order.
 
-    Returns ``{"executed": n, "cached": n, "failed": n}``. Cells are
-    classified by evidence: a trace file means the cell executed (at
-    least once) to completion; no file plus a
+    ``traces`` maps a cell's index to the ``(spans, metrics)`` its
+    :func:`run_cell_traced` returned. Returns ``{"executed": n,
+    "cached": n, "failed": n}``. Cells are classified by evidence: a
+    returned trace means the cell executed (at least once) to
+    completion; no trace plus a
     :class:`~repro.parallel.supervisor.CellFailure` result slot means it
-    failed; no file plus a real result means the checkpoint journal
+    failed; no trace plus a real result means the checkpoint journal
     supplied the value without re-execution (``cached``).
     """
     from repro.parallel.supervisor import CellFailure
 
     tally = {"executed": 0, "cached": 0, "failed": 0}
     for index, cell in enumerate(cells):
-        label = cell_label(cell.payload, index)
-        source = Path(trace_dir) / f"cell-{index:04d}.jsonl"
-        if source.exists():
-            cell_trace = load_trace(source)
-            _graft(tracer, grid_span, cell_trace.spans)
-            tracer.metrics.merge_snapshot(cell_trace.metrics)
+        if index in traces:
+            spans, metrics = traces[index]
+            _graft(tracer, grid_span, spans)
+            tracer.metrics.merge_snapshot(metrics)
             tally["executed"] += 1
             continue
         result = results[index] if index < len(results) else None
@@ -149,7 +118,7 @@ def stitch_cell_traces(
         else:
             status = "cached"
             attrs = {}
-        name = f"cell:{label}"
+        name = f"cell:{cell_label(cell.payload, index)}"
         tracer.adopt(
             SpanRecord(
                 span_id=tracer.next_id(),

@@ -22,10 +22,10 @@ Activation model — the same process-wide one-global discipline
   no JSON, no I/O. Telemetry off must cost nothing, because the hooks
   sit inside the supervisor's per-cell settle loop and the campaign's
   per-trial path;
-* grid workers get the stream path through the reserved
-  ``_telemetry_path`` payload key (``_``-prefixed, so journal
-  fingerprints ignore it — a run with telemetry on resumes a journal
-  written with it off, and vice versa).
+* grid workers get the stream path as an argument of
+  :func:`~repro.parallel.grid.execute_cell`, never in the cell's
+  payload, so journal fingerprints do not see it — a run with telemetry
+  on resumes a journal written with it off, and vice versa.
 
 Event schema: every event carries ``kind`` plus bookkeeping fields
 (``seq`` per-process counter, ``wall`` epoch seconds, ``pid``,
@@ -38,7 +38,6 @@ does not).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -48,7 +47,6 @@ from pathlib import Path
 from repro.ioutil import atomic_append
 
 __all__ = [
-    "TELEMETRY_PATH_KEY",
     "TelemetryBus",
     "VOLATILE_FIELDS",
     "activate_bus",
@@ -58,13 +56,7 @@ __all__ = [
     "estimate_eta_s",
     "load_events",
     "render_event",
-    "telemetry_cells",
 ]
-
-# Reserved grid-cell payload key carrying the stream path into worker
-# processes. Underscore-prefixed: fingerprint_payload ignores it, and
-# execute_cell strips it before the task function sees the payload.
-TELEMETRY_PATH_KEY = "_telemetry_path"
 
 # Fields stripped before determinism comparisons. ``wall``/``pid``/
 # ``seq``/``source`` are bookkeeping; ``wall_s``/``eta_s`` are derived
@@ -133,23 +125,6 @@ def emit(kind: str, **fields) -> None:
     bus = _BUS
     if bus is not None:
         bus.emit(kind, **fields)
-
-
-def telemetry_cells(cells, path: str | Path) -> list:
-    """Copies of grid cells with the telemetry stream path injected.
-
-    The injected key is reserved (``_``-prefixed): stripped by
-    :func:`~repro.parallel.grid.execute_cell` before the task function
-    runs, and excluded from checkpoint-journal fingerprints — a run with
-    telemetry on shares journal entries with one where it is off.
-    """
-    destination = str(path)
-    out = []
-    for cell in cells:
-        payload = dict(cell.payload)
-        payload[TELEMETRY_PATH_KEY] = destination
-        out.append(dataclasses.replace(cell, payload=payload))
-    return out
 
 
 def estimate_eta_s(elapsed_s: float, done: int, total: int) -> float | None:

@@ -36,11 +36,15 @@ import os
 import pickle
 import time
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import import_module
 from pathlib import Path
-from tempfile import TemporaryDirectory
 from typing import TYPE_CHECKING
+
+from repro.obs import telemetry
+from repro.obs import tracing as obs
+from repro.obs.gridtrace import cell_label, run_cell_traced, stitch_cell_traces
 
 if TYPE_CHECKING:  # supervisor imports this module; no runtime cycle
     from repro.parallel.journal import CheckpointJournal
@@ -141,18 +145,13 @@ def fingerprint_payload(task: str, payload: dict) -> str:
 
     The journal's fingerprint scheme, exposed for other content-addressed
     caches (the translation service keys compiled mappings with it):
-    deterministic canonical rendering, harness keys (leading ``_``)
-    excluded, SHA-256 hex digest.
+    deterministic canonical rendering of the whole payload, SHA-256 hex
+    digest.
     """
     digest = hashlib.sha256()
     digest.update(task.encode())
     digest.update(b"\x00")
-    visible = {
-        key: value
-        for key, value in payload.items()
-        if not (isinstance(key, str) and key.startswith("_"))
-    }
-    digest.update(_canonical(visible).encode())
+    digest.update(_canonical(payload).encode())
     return digest.hexdigest()
 
 
@@ -163,12 +162,6 @@ def fingerprint_cell(cell: GridCell) -> str:
     same result (cells are pure functions of their payloads), which is
     what lets the checkpoint journal key completed work by fingerprint
     and lets ``--resume`` skip finished cells across process lifetimes.
-
-    Payload keys starting with ``_`` are *reserved for the harness*
-    (per-cell trace destinations injected by
-    :mod:`repro.obs.gridtrace`) and excluded: they never reach the
-    worker function, so they cannot change the result — a traced run
-    and an untraced run share journal entries.
     """
     return fingerprint_payload(cell.task, cell.payload)
 
@@ -213,7 +206,11 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def execute_cell(cell: GridCell):
+def execute_cell(
+    cell: GridCell,
+    trace_label: str | None = None,
+    stream: str | Path | None = None,
+):
     """Run one cell in the current process (the worker entry point).
 
     Errors raised while *resolving* the task (bad module, missing
@@ -221,40 +218,27 @@ def execute_cell(cell: GridCell):
     itself are wrapped in :class:`CellExecutionError` naming the cell's
     task and fingerprint, with the original exception as ``__cause__``.
 
-    Reserved ``_``-prefixed payload keys are stripped before the worker
-    function is called; when :mod:`repro.obs.gridtrace` injected a trace
-    destination, the cell runs under its own tracer and writes a per-cell
-    span file for the parent to stitch. When :mod:`repro.obs.telemetry`
-    injected a stream path, the cell runs with a worker-side telemetry
-    bus active, so per-phase and per-trial events emitted inside the
-    cell land in the same live stream the parent appends to.
+    The task always receives ``cell.payload`` unchanged. The other two
+    arguments carry the caller's observability context, and only
+    :func:`run_cells` sets them: with a ``trace_label`` the cell runs
+    under its own tracer in a ``cell:<label>`` root span and the call
+    returns ``(value, spans, metrics)`` for the parent to stitch; with a
+    ``stream`` path the cell runs under a worker-side telemetry bus on
+    that file, so per-phase and per-trial events emitted inside the cell
+    land in the stream the parent appends to.
     """
     module_name, _, function_name = cell.task.partition(":")
     function = getattr(import_module(module_name), function_name)
-    payload = cell.payload
-    kwargs = payload
-    reserved = None
-    if any(isinstance(key, str) and key.startswith("_") for key in payload):
-        kwargs, reserved = {}, {}
-        for key, value in payload.items():
-            (reserved if key.startswith("_") else kwargs)[key] = value
-
-    def invoke():
-        if reserved and "_trace_dir" in reserved:
-            from repro.obs.gridtrace import run_cell_traced
-
-            return run_cell_traced(function, kwargs, reserved)
-        return function(**kwargs)
-
+    streaming = (
+        nullcontext()
+        if stream is None
+        else telemetry.activate_bus(telemetry.TelemetryBus(stream, source="worker"))
+    )
     try:
-        if reserved and "_telemetry_path" in reserved:
-            from repro.obs.telemetry import TelemetryBus, activate_bus
-
-            with activate_bus(
-                TelemetryBus(reserved["_telemetry_path"], source="worker")
-            ):
-                return invoke()
-        return invoke()
+        with streaming:
+            if trace_label is None:
+                return function(**cell.payload)
+            return run_cell_traced(function, cell.payload, trace_label)
     except Exception as error:
         raise CellExecutionError(
             f"grid cell {cell.task} (fingerprint {fingerprint_cell(cell)[:12]}) "
@@ -287,14 +271,14 @@ def run_cells(
     re-executed.
 
     Under an active telemetry bus the grid streams one ``grid-start``
-    event and one ``cell`` event per cell, and workers append to the same
-    stream. Under an active tracer each cell's spans are stitched under a
-    ``grid:<experiment>`` span in submission order, journal hits as
-    ``cached`` spans and failures as ``failed`` ones.
+    event and one ``cell`` event per cell, and each cell gets the stream's
+    path so workers append to it too. Under an active tracer each cell
+    gets its label, returns its spans with its value, and the spans are
+    stitched under a ``grid:<experiment>`` span in submission order,
+    journal hits as ``cached`` spans and failures as ``failed`` ones.
+    Cells are dispatched exactly as given, so a ``CellFailure.cell`` can
+    be re-run with :func:`execute_cell`.
     """
-    from repro.obs import telemetry
-    from repro.obs import tracing as obs
-    from repro.obs.gridtrace import cell_label, stitch_cell_traces, traced_cells
     from repro.parallel.journal import CheckpointJournal
     from repro.parallel.supervisor import GridOutcome, GridPolicy, _run_pooled, _run_serial
 
@@ -348,12 +332,14 @@ def run_cells(
             ),
         )
 
-    dispatched = cells
+    tracer = obs.current_tracer()
     bus = telemetry.current_bus()
+    stream = bus.path if bus is not None else None
+    calls = [
+        (cell, None if tracer is None else cell_label(cell.payload, index), stream)
+        for index, cell in enumerate(cells)
+    ]
     if bus is not None and cells:
-        # Thread the live stream into the cells so worker-side hooks
-        # (pipeline phases, campaign trials) append to the same file.
-        dispatched = telemetry.telemetry_cells(cells, bus.path)
         telemetry.emit(
             "grid-start", experiment=experiment, total=len(cells),
             resumed=len(resumed),
@@ -361,35 +347,38 @@ def run_cells(
         for index in resumed:
             report(index, "cached")
 
+    traces: dict[int, tuple] = {}
+
     def checkpoint(index: int, value: object) -> None:
+        if tracer is not None:
+            value, spans, metrics = value
+            traces[index] = (spans, metrics)
         results[index] = value
         if journal is not None:
             journal.record(fingerprints[index], cells[index].task, value)
 
-    def execute(batch: list[GridCell]) -> None:
+    def execute() -> None:
         if pending:
             requested = resolve_jobs(jobs)
             runner = _run_pooled if requested > 1 else _run_serial
             runner(
-                batch, fingerprints, pending, min(requested, len(pending)),
+                calls, fingerprints, pending, min(requested, len(pending)),
                 policy, checkpoint, failures, events, report,
             )
         for index, failure in failures.items():
             results[index] = failure
 
-    tracer = obs.current_tracer()
     if tracer is None or not cells:
-        execute(dispatched)
+        execute()
     else:
-        with TemporaryDirectory(prefix="dramdig-trace-") as trace_dir:
-            with tracer.span(f"grid:{experiment}") as grid_scope:
-                execute(traced_cells(dispatched, trace_dir))
-                tally = stitch_cell_traces(
-                    tracer, grid_scope.record, cells, results, trace_dir
-                )
-                grid_scope.set("cells", len(cells))
-                grid_scope.set("cached", tally["cached"])
-                grid_scope.set("failed", len(failures))
+        with tracer.span(f"grid:{experiment}") as grid_scope:
+            execute()
+            tally = stitch_cell_traces(
+                tracer, grid_scope.record, cells, results, traces
+            )
+            grid_scope.set("cells", len(cells))
+            grid_scope.set("cached", tally["cached"])
+            grid_scope.set("failed", len(failures))
     return GridOutcome(
         results=results,
         failures=[failures[index] for index in sorted(failures)],

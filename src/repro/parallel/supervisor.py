@@ -215,11 +215,11 @@ class GridOutcome:
 
 
 def _failure(
-    cells, fingerprints, index, reason, detail, attempts
+    calls, fingerprints, index, reason, detail, attempts
 ) -> CellFailure:
     return CellFailure(
         index=index,
-        cell=cells[index],
+        cell=calls[index][0],
         fingerprint=fingerprints[index],
         reason=reason,
         detail=detail,
@@ -228,14 +228,15 @@ def _failure(
 
 
 def _run_serial(
-    cells, fingerprints, pending, workers, policy, checkpoint, failures,
+    calls, fingerprints, pending, workers, policy, checkpoint, failures,
     events, report,
 ) -> None:
     """In-process supervised execution (no pool, no pickling).
 
-    Cell timeouts cannot be enforced here — a process cannot pre-empt
-    its own synchronous call — but per-cell retry, backoff and the
-    whole-run deadline all apply.
+    ``calls`` holds each cell's :func:`execute_cell` arguments, cell
+    first. Cell timeouts cannot be enforced here — a process cannot
+    pre-empt its own synchronous call — but per-cell retry, backoff and
+    the whole-run deadline all apply.
     """
     deadline = (
         time.monotonic() + policy.run_deadline_s
@@ -245,7 +246,7 @@ def _run_serial(
     for index in pending:
         if deadline is not None and time.monotonic() > deadline:
             failures[index] = _failure(
-                cells, fingerprints, index, "run-deadline",
+                calls, fingerprints, index, "run-deadline",
                 "run deadline expired before the cell started", 0,
             )
             report(index, "failed")
@@ -254,7 +255,7 @@ def _run_serial(
         while True:
             attempts += 1
             try:
-                value = execute_cell(cells[index])
+                value = execute_cell(*calls[index])
             except Exception as error:  # noqa: BLE001 - supervision boundary
                 out_of_time = deadline is not None and time.monotonic() > deadline
                 if attempts <= policy.retries and not out_of_time:
@@ -274,7 +275,7 @@ def _run_serial(
                     time.sleep(backoff)
                     continue
                 failures[index] = _failure(
-                    cells, fingerprints, index, "error", str(error), attempts
+                    calls, fingerprints, index, "error", str(error), attempts
                 )
                 report(index, "failed")
                 break
@@ -306,10 +307,13 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _run_pooled(
-    cells, fingerprints, pending, workers, policy, checkpoint, failures,
+    calls, fingerprints, pending, workers, policy, checkpoint, failures,
     events, report,
 ) -> None:
     """Pooled supervised execution with respawn-on-death and timeouts.
+
+    ``calls`` holds each cell's :func:`execute_cell` arguments, cell
+    first; every attempt submits them unchanged.
 
     Worker death is handled with **quarantine attribution**: the executor
     cannot say which in-flight cell crashed the dead worker, so nobody is
@@ -338,7 +342,7 @@ def _run_pooled(
 
     def fail(index: int, reason: str, detail: str) -> None:
         failures[index] = _failure(
-            cells, fingerprints, index, reason, detail, attempts[index]
+            calls, fingerprints, index, reason, detail, attempts[index]
         )
         report(index, "failed")
 
@@ -399,7 +403,7 @@ def _run_pooled(
         """Submit one cell; respawn and report False on a dead pool."""
         attempts[index] += 1
         try:
-            inflight[pool.submit(execute_cell, cells[index])] = index
+            inflight[pool.submit(execute_cell, *calls[index])] = index
         except BrokenProcessPool:
             attempts[index] -= 1
             respawn("pool broken at submission")
@@ -531,7 +535,7 @@ def _run_pooled(
                             innocents.append(index)
                     respawn(
                         "cell timeout: "
-                        + ", ".join(cells[i].task for i in hung_indices)
+                        + ", ".join(calls[i][0].task for i in hung_indices)
                     )
                     for index in hung_indices:
                         events.append(
@@ -541,7 +545,7 @@ def _run_pooled(
                                     action="timeout",
                                     attempt=attempts[index],
                                     detail=(
-                                        f"{cells[index].task} exceeded "
+                                        f"{calls[index][0].task} exceeded "
                                         f"{policy.cell_timeout_s:g}s"
                                     ),
                                     span=obs.current_path(),

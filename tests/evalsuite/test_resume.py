@@ -31,9 +31,9 @@ def _truncate_journal(path, keep: int) -> None:
 def _counting_execute_cell(counter):
     real = supervisor.execute_cell
 
-    def wrapped(cell):
+    def wrapped(cell, *context):
         counter.append(cell.task)
-        return real(cell)
+        return real(cell, *context)
 
     return wrapped
 
@@ -108,13 +108,13 @@ class TestPartialRendering:
     def test_table1_renders_failed_cells(self, monkeypatch):
         real = supervisor.execute_cell
 
-        def sabotage(cell):
+        def sabotage(cell, *context):
             if (
                 cell.task == "repro.evalsuite.table1:dramdig_machine_cell"
                 and cell.payload.get("name") == "No.4"
             ):
                 raise RuntimeError("injected cell failure")
-            return real(cell)
+            return real(cell, *context)
 
         monkeypatch.setattr(supervisor, "execute_cell", sabotage)
         verdicts = run_table1(

@@ -98,9 +98,9 @@ class TestResumeTracing:
         executed = []
         real = supervisor.execute_cell
 
-        def counting(cell):
+        def counting(cell, *context):
             executed.append(cell.task)
-            return real(cell)
+            return real(cell, *context)
 
         monkeypatch.setattr(supervisor, "execute_cell", counting)
         tracer, verdicts = _traced_table1(journal=journal)
@@ -123,8 +123,9 @@ class TestResumeTracing:
     def test_journal_fingerprints_shared_between_traced_and_untraced(
         self, tmp_path, monkeypatch
     ):
-        """Tracing must not invalidate a journal written untraced (the
-        reserved payload keys are excluded from fingerprints)."""
+        """A journal written by a traced run replays untraced with nothing
+        re-executed: the trace context reaches a cell as ``execute_cell``
+        arguments, never in its fingerprinted payload."""
         journal = tmp_path / "journal.jsonl"
         tracer, _ = _traced_table1(journal=journal)
         assert any(s.status == "ok" for s in tracer.spans)
@@ -132,9 +133,9 @@ class TestResumeTracing:
         executed = []
         real = supervisor.execute_cell
 
-        def counting(cell):
+        def counting(cell, *context):
             executed.append(cell.task)
-            return real(cell)
+            return real(cell, *context)
 
         monkeypatch.setattr(supervisor, "execute_cell", counting)
         run_table1(seed=1, machines=PANEL, determinism_runs=2, journal=journal)

@@ -10,6 +10,7 @@ never reaches a caller of :func:`run_cells`. Results are checked against
 import pytest
 
 from repro.faults.gridfaults import invocations
+from repro.obs import TelemetryBus, Tracer, activate, activate_bus
 from repro.parallel import (
     GridCell,
     GridError,
@@ -132,6 +133,26 @@ class TestSerialSupervised:
         assert outcome.results[0] == "slow-but-done"
         assert [f.index for f in outcome.failures] == [1]
         assert outcome.failures[0].reason == "run-deadline"
+
+
+class TestObservedFailures:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cell_reruns_as_submitted(self, tmp_path, jobs):
+        """A failure under a tracer and a telemetry bus carries the cell
+        exactly as submitted, so re-running it by hand just works."""
+        cell = GridCell(
+            "repro.faults.gridfaults:flaky_cell",
+            {"scratch": str(tmp_path), "key": "once", "fail_times": 1,
+             "value": "second-try"},
+        )
+        tracer = Tracer()
+        with activate(tracer), activate_bus(TelemetryBus(tmp_path / "s.jsonl")):
+            outcome = run_cells([cell], jobs=jobs, policy=GridPolicy())
+        [failure] = outcome.failures
+        assert failure.cell == cell
+        assert execute_cell(failure.cell) == "second-try"
+        statuses = [s.status for s in tracer.spans if s.name.startswith("cell:")]
+        assert statuses == ["failed"]
 
 
 class TestJournalledRuns:

@@ -45,9 +45,9 @@ def _truncate_journal(path, keep: int) -> None:
 def _counting_execute_cell(counter):
     real = supervisor.execute_cell
 
-    def wrapped(cell):
+    def wrapped(cell, *context):
         counter.append(cell.payload.get("name"))
-        return real(cell)
+        return real(cell, *context)
 
     return wrapped
 
@@ -214,10 +214,10 @@ class TestFailures:
     def test_failed_trials_render_as_a_manifest(self, monkeypatch):
         real = supervisor.execute_cell
 
-        def sabotage(cell):
+        def sabotage(cell, *context):
             if cell.payload.get("name") == "No.5/single_sided/trr/t0":
                 raise RuntimeError("injected trial failure")
-            return real(cell)
+            return real(cell, *context)
 
         monkeypatch.setattr(supervisor, "execute_cell", sabotage)
         outcome = run_campaign(SPEC, supervision=GridPolicy())
