@@ -37,7 +37,10 @@ Gates, on every workload:
 * the replay trace's metric counters are exactly
   ``{"grid.cells_resumed": N}``, N being the cell records in ``J``;
 * the unflagged reference run streams progress: ``R`` holds exactly N
-  ``cell`` events, all with status ``ok``.
+  ``cell`` events, all with status ``ok``;
+* every cell is named: no ``cell`` event in ``R`` has a label that
+  starts with ``cell#`` (the grid's fallback for a payload without a
+  ``name``).
 
 The kill is racy. If the victim finishes before it lands, the three
 gates that need a kill (the checkpoint, the event before it and the
@@ -271,12 +274,17 @@ def run_workload(work: Workload, root: Path) -> tuple[list[str], str]:
     gate(counters == expected,
          f"replay counters are {counters}, expected {expected}")
 
-    progress = [event.get("status") for event in
+    progress = [event for event in
                 read_jsonl(root / "reference-telemetry.jsonl")[0]
                 if event.get("kind") == "cell"]
-    gate(progress == ["ok"] * cells,
-         f"the reference stream holds {len(progress)} cell event(s) "
-         f"({progress.count('ok')} ok), expected {cells} ok")
+    statuses = [event.get("status") for event in progress]
+    gate(statuses == ["ok"] * cells,
+         f"the reference stream holds {len(statuses)} cell event(s) "
+         f"({statuses.count('ok')} ok), expected {cells} ok")
+    unnamed = [str(event.get("cell")) for event in progress
+               if str(event.get("cell")).startswith("cell#")]
+    gate(not unnamed, f"{len(unnamed)} reference cell event(s) carry no name: "
+                      f"{', '.join(unnamed[:5])}")
 
     landed = (f"killed mid-flight with {survivors} survivor(s) and "
               f"{heartbeats} event(s) streamed" if killed

@@ -95,8 +95,9 @@ _grid_retries_arg = _checked(
     int, lambda retries: retries < 0,
     "--grid-retries must be non-negative (got {value})",
 )
+# Float bounds are written so that NaN fails them.
 _seconds_arg = _checked(
-    float, lambda seconds: seconds <= 0,
+    float, lambda seconds: not seconds > 0,
     "timeout must be a positive number of seconds (got {text})",
 )
 _tests_arg = _checked(
@@ -104,7 +105,11 @@ _tests_arg = _checked(
 )
 # Simulated test length, in minutes or seconds per flag.
 _duration_arg = _checked(
-    float, lambda value: value <= 0, "test duration must be positive (got {text})"
+    float, lambda value: not value > 0, "test duration must be positive (got {text})"
+)
+_tolerance_arg = _checked(
+    float, lambda fraction: not fraction >= 0,
+    "--tolerance must be non-negative (got {text})",
 )
 _decoy_rows_arg = _checked(
     int, lambda decoys: decoys < 0, "--decoy-rows must be non-negative (got {value})"
@@ -556,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_diff_cmd.add_argument("base", metavar="BASE_TRACE")
     obs_diff_cmd.add_argument("other", metavar="OTHER_TRACE")
     obs_diff_cmd.add_argument(
-        "--tolerance", type=float, default=0.01, metavar="FRACTION",
+        "--tolerance", type=_tolerance_arg, default=0.01, metavar="FRACTION",
         help="fractional growth of the total simulated time tolerated "
         "before the pair counts as a regression (default 0.01)",
     )
@@ -714,55 +719,62 @@ def _command_translate(args) -> int:
         mapping = preset(args.machine).mapping
         label = args.machine
 
+    # Parse every query first: a bad one fails before any output.
+    try:
+        addrs = (
+            None
+            if args.phys is None
+            else np.array([int(text, 0) for text in args.phys], dtype=np.uint64)
+        )
+    except (OverflowError, ValueError) as error:
+        _LOG.error("bad --phys address: %s", error)
+        return 2
+    try:
+        triples = [
+            tuple(int(part, 0) for part in text.split(","))
+            for text in args.dram or ()
+        ]
+        if any(len(triple) != 3 for triple in triples):
+            raise ValueError("expected BANK,ROW,COL")
+        coordinates = np.array(triples, dtype=np.uint64).reshape(-1, 3)
+    except (OverflowError, ValueError) as error:
+        _LOG.error("bad --dram coordinate: %s", error)
+        return 2
+
     service = default_service()
-    key = service.register(mapping)
+    key = service.publish(mapping)
     compiled = service.compiled(key)
     print(
         f"{label}: {compiled.banks} banks × {compiled.rows} rows × "
         f"{compiled.columns} columns, key {key[:16]}…"
     )
-
-    if args.phys is not None:
-        try:
-            addrs = np.array([int(text, 0) for text in args.phys], dtype=np.uint64)
-        except ValueError as error:
-            _LOG.error("bad --phys address: %s", error)
-            return 2
-        banks, rows, columns = service.translate(key, addrs)
-        for addr, bank, row, column in zip(addrs, banks, rows, columns):
-            print(f"0x{int(addr):012x} -> bank {int(bank)} row {int(row)} "
-                  f"col {int(column)}")
-    if args.dram is not None:
-        try:
-            triples = [
-                tuple(int(part, 0) for part in text.split(","))
-                for text in args.dram
-            ]
-            if any(len(triple) != 3 for triple in triples):
-                raise ValueError("expected BANK,ROW,COL")
-        except ValueError as error:
-            _LOG.error("bad --dram coordinate: %s", error)
-            return 2
-        banks = np.array([t[0] for t in triples], dtype=np.uint64)
-        rows = np.array([t[1] for t in triples], dtype=np.uint64)
-        columns = np.array([t[2] for t in triples], dtype=np.uint64)
-        for (bank, row, column), addr in zip(
-            triples, service.encode(key, banks, rows, columns)
-        ):
-            print(f"bank {bank} row {row} col {column} -> 0x{int(addr):012x}")
-    if args.same_bank is not None:
-        addrs = service.same_bank_addresses(
-            key, args.same_bank, args.count, args.column
-        )
-        print(f"bank {args.same_bank}, column {args.column}: "
-              + " ".join(f"0x{int(addr):012x}" for addr in addrs))
-    if args.aggressors is not None:
-        victims, above, below = service.adjacent_row_sets(
-            key, args.aggressors, args.count, args.column, args.stride
-        )
-        for victim, upper, lower in zip(victims, above, below):
-            print(f"victim 0x{int(victim):012x}  above 0x{int(upper):012x}  "
-                  f"below 0x{int(lower):012x}")
+    try:
+        if addrs is not None:
+            banks, rows, columns = service.translate(key, addrs)
+            for addr, bank, row, column in zip(addrs, banks, rows, columns):
+                print(f"0x{int(addr):012x} -> bank {int(bank)} row {int(row)} "
+                      f"col {int(column)}")
+        if triples:
+            for (bank, row, column), addr in zip(
+                triples, service.encode(key, *coordinates.T)
+            ):
+                print(f"bank {bank} row {row} col {column} -> 0x{int(addr):012x}")
+        if args.same_bank is not None:
+            addrs = service.same_bank_addresses(
+                key, args.same_bank, args.count, args.column
+            )
+            print(f"bank {args.same_bank}, column {args.column}: "
+                  + " ".join(f"0x{int(addr):012x}" for addr in addrs))
+        if args.aggressors is not None:
+            victims, above, below = service.adjacent_row_sets(
+                key, args.aggressors, args.count, args.column, args.stride
+            )
+            for victim, upper, lower in zip(victims, above, below):
+                print(f"victim 0x{int(victim):012x}  above 0x{int(upper):012x}  "
+                      f"below 0x{int(lower):012x}")
+    except ReproError as error:
+        _LOG.error("%s", error)
+        return 2
     if args.stats:
         stats = service.stats()
         print("service: " + ", ".join(f"{k}={v}" for k, v in stats.items()))

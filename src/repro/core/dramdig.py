@@ -403,12 +403,11 @@ class DramDig:
             column_bits=fine.column_bits,
         )
 
-        # Compile once at recovery time and register with the process-wide
-        # translation service, keyed by the machine's SystemInfo facts so a
-        # fleet of identical machines shares one compiled entry.
+        # Compile once at recovery time and publish to the process-wide
+        # translation service, keyed by the mapping's content fingerprint.
         from repro.service.translation import default_service
 
-        translation_key = default_service().publish(mapping, system=knowledge.info)
+        translation_key = default_service().publish(mapping)
 
         return DramDigResult(
             mapping=mapping,

@@ -36,8 +36,10 @@ class DramDigResult:
         degradation: recovery actions taken to reach convergence (step
             retries, probe recalibrations, partition escalations, pipeline
             restarts) — empty in a clean run.
-        translation_key: cache key under which the recovered mapping's
-            compiled form is registered with the process-wide
+        translation_key: the recovered mapping's content fingerprint
+            (:func:`~repro.service.translation.mapping_fingerprint`), the
+            key under which its compiled form is published to the
+            process-wide
             :class:`~repro.service.translation.TranslationService`
             (empty for results built outside the pipeline).
     """

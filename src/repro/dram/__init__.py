@@ -26,13 +26,9 @@ from repro.dram.random_mapping import naive_mapping, random_geometry, random_map
 from repro.dram.serialization import (
     belief_from_dict,
     belief_to_dict,
-    compiled_from_dict,
-    compiled_to_dict,
-    load_compiled,
     load_mapping,
     mapping_from_dict,
     mapping_to_dict,
-    save_compiled,
     save_mapping,
 )
 from repro.dram.spec import (
@@ -73,11 +69,7 @@ __all__ = [
     "random_mapping",
     "belief_from_dict",
     "belief_to_dict",
-    "compiled_from_dict",
-    "compiled_to_dict",
-    "load_compiled",
     "load_mapping",
-    "save_compiled",
     "mapping_from_dict",
     "mapping_to_dict",
     "save_mapping",

@@ -326,10 +326,13 @@ class CompiledMapping:
 
         Raises:
             SingularMappingError: on a forward-only compile.
-            MappingError: when the bank is out of range or the bank cannot
-                hold ``count`` distinct addresses from column ``column`` up.
+            MappingError: when the bank or column is out of range or the
+                bank cannot hold ``count`` distinct addresses from column
+                ``column`` up.
         """
         self._check_bank(bank)
+        if not 0 <= column < self.columns:
+            raise MappingError(f"column {column} out of range")
         available = self.rows * (self.columns - column)
         if count < 0 or count > available:
             raise MappingError(

@@ -18,13 +18,9 @@ so files are diffable and hand-editable:
 ``AddressMapping`` round-trips through validation; ``BeliefMapping`` (no
 geometry, no validation) uses the sibling v1-belief format.
 
-:class:`~repro.dram.compiled.CompiledMapping` has its own
-``dramdig-compiled-v1`` format so production consumers can ship the GF(2)
-matrix pair without re-deriving it from a mapping. Matrix rows are
-bit-position lists like bank functions. Loading *revalidates the inverse*:
-a stored ``addr_mtx`` that does not actually invert ``dram_mtx`` (a
-hand-edited or corrupted file) is rejected with ``MappingError`` rather
-than silently producing wrong DRAM→phys translations.
+The compiled GF(2) form is not persisted: it is derived data, and
+compiling a loaded mapping (``mapping.compiled``) costs less than loading
+and revalidating a stored matrix pair would.
 """
 
 from __future__ import annotations
@@ -47,15 +43,10 @@ __all__ = [
     "load_mapping",
     "belief_to_dict",
     "belief_from_dict",
-    "compiled_to_dict",
-    "compiled_from_dict",
-    "save_compiled",
-    "load_compiled",
 ]
 
 _MAPPING_FORMAT = "dramdig-mapping-v1"
 _BELIEF_FORMAT = "dramdig-belief-v1"
-_COMPILED_FORMAT = "dramdig-compiled-v1"
 
 
 def mapping_to_dict(mapping: AddressMapping) -> dict:
@@ -119,103 +110,6 @@ def save_mapping(mapping: AddressMapping, path: str | Path) -> None:
 def load_mapping(path: str | Path) -> AddressMapping:
     """Read and validate a mapping from ``path``."""
     return mapping_from_dict(json.loads(Path(path).read_text()))
-
-
-def compiled_to_dict(compiled) -> dict:
-    """Serialise a compiled mapping's GF(2) matrix pair."""
-    return {
-        "format": _COMPILED_FORMAT,
-        "address_bits": compiled.address_bits,
-        "column_width": compiled.column_width,
-        "row_width": compiled.row_width,
-        "bank_width": compiled.bank_width,
-        "dram_mtx": [list(bits_of_mask(mask)) for mask in compiled.dram_mtx],
-        "addr_mtx": (
-            None
-            if compiled.addr_mtx is None
-            else [list(bits_of_mask(mask)) for mask in compiled.addr_mtx]
-        ),
-    }
-
-
-def compiled_from_dict(data: dict):
-    """Deserialise (and revalidate) a compiled mapping.
-
-    Raises:
-        MappingError: on an unknown format marker, out-of-range matrix
-            rows, inconsistent component widths, or a stored ``addr_mtx``
-            that does not invert ``dram_mtx`` over GF(2).
-    """
-    from repro.analysis.bits import parity
-    from repro.dram.compiled import CompiledMapping
-
-    if data.get("format") != _COMPILED_FORMAT:
-        raise MappingError(
-            f"not a {_COMPILED_FORMAT} document (format={data.get('format')!r})"
-        )
-    address_bits = data["address_bits"]
-    dram_mtx = tuple(mask_of_bits(bits) for bits in data["dram_mtx"])
-    stored_inverse = data.get("addr_mtx")
-    addr_mtx = (
-        None
-        if stored_inverse is None
-        else tuple(mask_of_bits(bits) for bits in stored_inverse)
-    )
-    widths = (data["column_width"], data["row_width"], data["bank_width"])
-    if any(width < 0 for width in widths) or sum(widths) != len(dram_mtx):
-        raise MappingError(
-            f"component widths {widths} do not partition the "
-            f"{len(dram_mtx)}-row forward matrix"
-        )
-    limit = 1 << address_bits
-    for name, matrix in (("dram_mtx", dram_mtx), ("addr_mtx", addr_mtx or ())):
-        for mask in matrix:
-            if mask >= limit:
-                raise MappingError(
-                    f"{name} row {mask:#x} exceeds the {address_bits}-bit "
-                    "address space"
-                )
-    if addr_mtx is not None:
-        # Revalidate the inverse: feed every input basis vector through
-        # forward then inverse and demand the identity. O(bits²), cheap,
-        # and the only defence against a hand-edited inverse silently
-        # encoding addresses into the wrong rows.
-        if len(addr_mtx) != address_bits or len(dram_mtx) != address_bits:
-            raise MappingError(
-                "stored inverse requires square matrices of address_bits rows"
-            )
-        for position in range(address_bits):
-            basis = 1 << position
-            linear = 0
-            for out_bit, mask in enumerate(dram_mtx):
-                linear |= parity(basis & mask) << out_bit
-            back = 0
-            for out_bit, mask in enumerate(addr_mtx):
-                back |= parity(linear & mask) << out_bit
-            if back != basis:
-                raise MappingError(
-                    f"stored addr_mtx does not invert dram_mtx "
-                    f"(basis bit {position} round-trips to {back:#x})"
-                )
-    return CompiledMapping(
-        address_bits=address_bits,
-        dram_mtx=dram_mtx,
-        addr_mtx=addr_mtx,
-        column_width=data["column_width"],
-        row_width=data["row_width"],
-        bank_width=data["bank_width"],
-    )
-
-
-def save_compiled(compiled, path: str | Path) -> None:
-    """Write a compiled mapping to ``path`` as pretty-printed JSON
-    (atomically, like :func:`save_mapping`)."""
-    atomic_write(path, json.dumps(compiled_to_dict(compiled), indent=2) + "\n")
-
-
-def load_compiled(path: str | Path):
-    """Read and revalidate a compiled mapping from ``path``."""
-    return compiled_from_dict(json.loads(Path(path).read_text()))
 
 
 def belief_to_dict(belief: BeliefMapping) -> dict:

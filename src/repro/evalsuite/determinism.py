@@ -65,9 +65,13 @@ def _canonical(belief: BeliefMapping) -> tuple:
 
 
 def dramdig_run_cell(
-    machine_name: str, seed: int, dramdig_config: DramDigConfig | None
+    name: str, machine_name: str, seed: int, dramdig_config: DramDigConfig | None
 ) -> dict:
-    """One DRAMDig run: canonical output + ground-truth equivalence."""
+    """One DRAMDig run: canonical output + ground-truth equivalence.
+
+    ``name`` (``DRAMDig/<machine>/run<i>``) labels the cell in traces,
+    telemetry and failure manifests.
+    """
     truth = preset(machine_name).mapping
     machine = SimulatedMachine.from_preset(preset(machine_name), seed=seed)
     result = DramDig(dramdig_config).run(machine)
@@ -79,9 +83,17 @@ def dramdig_run_cell(
 
 
 def drama_run_cell(
-    machine_name: str, seed: int, tool_seed: int, drama_config: DramaConfig | None
+    name: str,
+    machine_name: str,
+    seed: int,
+    tool_seed: int,
+    drama_config: DramaConfig | None,
 ) -> dict | None:
-    """One DRAMA run; ``None`` when the run times out without a belief."""
+    """One DRAMA run; ``None`` when the run times out without a belief.
+
+    ``name`` (``DRAMA/<machine>/run<i>``) labels the cell like
+    :func:`dramdig_run_cell`'s.
+    """
     truth = preset(machine_name).mapping
     machine = SimulatedMachine.from_preset(preset(machine_name), seed=seed)
     result = DramaTool(drama_config, seed=tool_seed).run(machine)
@@ -148,6 +160,7 @@ def run_determinism(
         GridCell(
             "repro.evalsuite.determinism:dramdig_run_cell",
             {
+                "name": f"DRAMDig/{machine_name}/run{run}",
                 "machine_name": machine_name,
                 "seed": seed + run,
                 "dramdig_config": dramdig_config,
@@ -158,6 +171,7 @@ def run_determinism(
         GridCell(
             "repro.evalsuite.determinism:drama_run_cell",
             {
+                "name": f"DRAMA/{machine_name}/run{run}",
                 "machine_name": machine_name,
                 "seed": seed + run,
                 "tool_seed": seed * 1000 + run,

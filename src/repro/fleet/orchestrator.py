@@ -314,11 +314,7 @@ def _candidate_payloads(store: KnowledgeStore, breaker: CircuitBreaker, spec, co
         if breaker.is_open(entry.key):
             continue
         candidates.append(
-            {
-                "key": entry.key,
-                "mapping": mapping_to_dict(entry.mapping),
-                "compiled": entry.compiled,
-            }
+            {"key": entry.key, "mapping": mapping_to_dict(entry.mapping)}
         )
     return candidates
 
@@ -399,6 +395,7 @@ def run_fleet(config: FleetConfig) -> FleetOutcome:
                 GridCell(
                     "repro.fleet.runner:run_fleet_cell",
                     {
+                        "name": spec.machine_id,
                         "spec": spec.to_payload(),
                         "candidates": _candidate_payloads(
                             store, breaker, spec, config
@@ -463,10 +460,7 @@ def run_fleet(config: FleetConfig) -> FleetOutcome:
                         events.append(obs.note_event(event))
                     else:
                         entry = store.add(
-                            learned,
-                            system,
-                            compiled=result.compiled,
-                            source=result.machine_id,
+                            learned, system, source=result.machine_id
                         )
                         breaker.success(entry.key)
             store.save()

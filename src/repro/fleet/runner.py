@@ -1,21 +1,19 @@
 """The per-machine fleet worker: confirm a cached hypothesis or fall back.
 
 One grid cell == one machine. The payload carries everything the worker
-needs — the :class:`~repro.fleet.spec.MachineSpec` (pure seeds), the
-shortlisted knowledge-store candidates (mapping + compiled payloads, as
-JSON-safe dicts), and the :class:`~repro.fleet.confirm.ConfirmConfig` —
-so the cell is a pure function of its payload: the checkpoint journal
-can cache it by content fingerprint, and serial and multi-worker runs
-produce identical results and identical ``fleet.*`` metrics.
+needs — the machine's display ``name`` (its id), the
+:class:`~repro.fleet.spec.MachineSpec` (pure seeds), the shortlisted
+knowledge-store candidates (key + mapping payload, as JSON-safe dicts),
+and the :class:`~repro.fleet.confirm.ConfirmConfig` — so the cell is a
+pure function of its payload: the checkpoint journal can cache it by
+content fingerprint, and serial and multi-worker runs produce identical
+results and identical ``fleet.*`` metrics.
 
 The protocol per machine:
 
 1. try each candidate in similarity order with a cheap confirmation
    campaign (:func:`~repro.fleet.confirm.run_confirmation`);
-2. first confirmed candidate wins — its compiled form is registered with
-   the process's translation service (healing a corrupt compiled payload
-   by recompiling, see
-   :meth:`~repro.service.translation.TranslationService.register_serialized`);
+2. first confirmed candidate wins;
 3. no survivor → full DRAMDig search (outcome ``"fallback"`` when
    candidates were offered and all rejected, ``"cold"`` when the store
    had nothing for this machine).
@@ -39,7 +37,6 @@ from repro.fleet.spec import MachineSpec, materialize_mapping
 from repro.fleet.store import system_to_facts
 from repro.machine.machine import SimulatedMachine
 from repro.obs import tracing as obs
-from repro.service.translation import default_service, mapping_fingerprint
 
 __all__ = ["CandidateVerdict", "FleetMachineResult", "run_fleet_cell"]
 
@@ -79,7 +76,7 @@ class FleetMachineResult:
         verdicts: per-candidate confirmation verdicts, in offer order.
         measurements / sim_seconds: total probe cost on this machine
             (confirmation campaigns plus any fallback search).
-        mapping / compiled: the learned mapping's serialised forms —
+        mapping: the learned mapping's ``dramdig-mapping-v1`` payload —
             populated only for fallback/cold machines (confirmed machines
             reuse the store's existing entry).
         system: the machine's SystemInfo facts (store entry metadata).
@@ -95,13 +92,13 @@ class FleetMachineResult:
     measurements: int = 0
     sim_seconds: float = 0.0
     mapping: dict | None = None
-    compiled: dict | None = None
     system: dict = field(default_factory=dict)
     search_retries: int = 0
     search_degradations: int = 0
 
 
 def run_fleet_cell(
+    name: str,
     spec: dict,
     candidates: list[dict],
     confirm: ConfirmConfig | None = None,
@@ -110,10 +107,11 @@ def run_fleet_cell(
     """Run the confirm-or-fallback protocol on one simulated machine.
 
     Args:
+        name: the machine id, the cell's label in traces, telemetry and
+            failure manifests.
         spec: :meth:`MachineSpec.to_payload` dict.
-        candidates: shortlisted store entries, each
-            ``{"key", "mapping", "compiled"}`` with serialised payloads,
-            best similarity first.
+        candidates: shortlisted store entries, each ``{"key", "mapping"}``
+            with the mapping serialised, best similarity first.
         confirm: campaign policy (default :class:`ConfirmConfig`).
         resilient: run any fallback search with the full recovery stack.
     """
@@ -121,7 +119,6 @@ def run_fleet_cell(
     confirm = confirm if confirm is not None else ConfirmConfig()
     truth = materialize_mapping(machine_spec)
     machine = SimulatedMachine(truth, seed=machine_spec.machine_seed)
-    service = default_service()
 
     obs.inc("fleet.machines")
     with obs.span(f"machine:{machine_spec.machine_id}", clock=machine.clock) as span:
@@ -183,16 +180,10 @@ def run_fleet_cell(
                 obs.inc("fleet.confirm_hits")
                 chosen_mapping = mapping
                 chosen_key = key
-                # Share the store's compiled form process-locally; a
-                # corrupt compiled payload heals by recompiling.
-                service.register_serialized(
-                    mapping, candidate.get("compiled"), system=machine.sysinfo()
-                )
                 break
             obs.inc("fleet.confirm_rejects")
 
         learned_mapping_dict = None
-        learned_compiled_dict = None
         search_retries = 0
         search_degradations = 0
         if chosen_mapping is None:
@@ -205,13 +196,10 @@ def run_fleet_cell(
             config = DramDigConfig.resilient() if resilient else DramDigConfig()
             result = DramDig(config).run(machine)
             chosen_mapping = result.mapping
-            chosen_key = mapping_fingerprint(result.mapping)
+            chosen_key = result.translation_key
             search_retries = result.retries
             search_degradations = len(result.degradation)
             learned_mapping_dict = mapping_to_dict(result.mapping)
-            from repro.dram.serialization import compiled_to_dict
-
-            learned_compiled_dict = compiled_to_dict(result.mapping.compiled)
         else:
             outcome_name = "confirmed"
 
@@ -229,7 +217,6 @@ def run_fleet_cell(
             measurements=int(machine.stats.measurements),
             sim_seconds=round(float(machine.elapsed_seconds), 6),
             mapping=learned_mapping_dict,
-            compiled=learned_compiled_dict,
             system=system_to_facts(machine.sysinfo()),
             search_retries=search_retries,
             search_degradations=search_degradations,

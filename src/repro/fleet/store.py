@@ -3,11 +3,12 @@
 A JSONL file (one header line + one record per known mapping) holding
 everything a fleet run learns: the mapping itself (``dramdig-mapping-v1``
 payload), the :class:`~repro.machine.sysinfo.SystemInfo` facts of the
-machine it was learned on, the compiled GF(2) form
-(``dramdig-compiled-v1`` payload, shared with
-:class:`~repro.service.translation.TranslationService` so lookalikes
-skip the compile too), and the hypothesis's confirmation track record
+machine it was learned on, and the hypothesis's confirmation track record
 (the circuit-breaker state, persisted so quarantine survives restarts).
+The compiled GF(2) form is not stored: a consumer compiles the loaded
+mapping (``mapping.compiled``). Records written with a ``compiled`` key
+by earlier versions still pass their integrity check (it hashes whatever
+keys a record holds) and lose the key at the next save.
 
 Durability follows the checkpoint journal: every save rewrites the whole
 file through :func:`repro.ioutil.atomic_write`, so a SIGKILLed fleet run
@@ -94,10 +95,6 @@ class StoreEntry:
         key: the mapping's content fingerprint (the store's identity).
         mapping: the re-validated mapping claim.
         system: facts of the machine the mapping was learned on.
-        compiled: ``dramdig-compiled-v1`` payload, or None. Kept as a
-            raw dict and only validated when used — a corrupt compiled
-            payload heals by recompiling from the mapping (see
-            :meth:`repro.service.translation.TranslationService.register_serialized`).
         confirmations / failures: lifetime confirmation outcomes.
         streak: consecutive confirmation failures (circuit-breaker fuel).
         quarantined: tripped breaker — never offered as a candidate.
@@ -107,7 +104,6 @@ class StoreEntry:
     key: str
     mapping: AddressMapping
     system: SystemInfo
-    compiled: dict | None = None
     confirmations: int = 0
     failures: int = 0
     streak: int = 0
@@ -119,7 +115,6 @@ class StoreEntry:
             "key": self.key,
             "mapping": mapping_to_dict(self.mapping),
             "system": system_to_facts(self.system),
-            "compiled": self.compiled,
             "confirmations": self.confirmations,
             "failures": self.failures,
             "streak": self.streak,
@@ -136,7 +131,6 @@ class StoreEntry:
             key=str(record["key"]),
             mapping=mapping,
             system=system_from_facts(record["system"]),
-            compiled=record.get("compiled"),
             confirmations=int(record.get("confirmations", 0)),
             failures=int(record.get("failures", 0)),
             streak=int(record.get("streak", 0)),
@@ -271,7 +265,6 @@ class KnowledgeStore:
         self,
         mapping: AddressMapping,
         system: SystemInfo,
-        compiled: dict | None = None,
         source: str = "",
     ) -> StoreEntry:
         """Record a freshly learned mapping (or re-learn an existing one).
@@ -284,19 +277,11 @@ class KnowledgeStore:
         key = mapping_fingerprint(mapping)
         entry = self.entries.get(key)
         if entry is None:
-            entry = StoreEntry(
-                key=key,
-                mapping=mapping,
-                system=system,
-                compiled=compiled,
-                source=source,
-            )
+            entry = StoreEntry(key=key, mapping=mapping, system=system, source=source)
             self.entries[key] = entry
         else:
             entry.streak = 0
             entry.quarantined = False
-            if entry.compiled is None:
-                entry.compiled = compiled
         entry.confirmations += 1
         return entry
 

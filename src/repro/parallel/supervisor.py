@@ -118,17 +118,18 @@ class GridPolicy:
     backoff_max_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
+        # Each bound is written so that NaN fails it.
+        if self.cell_timeout_s is not None and not self.cell_timeout_s > 0:
             raise ValueError("cell_timeout_s must be positive")
-        if self.run_deadline_s is not None and self.run_deadline_s <= 0:
+        if self.run_deadline_s is not None and not self.run_deadline_s > 0:
             raise ValueError("run_deadline_s must be positive")
-        if self.retries < 0:
+        if not self.retries >= 0:
             raise ValueError("retries must be non-negative")
-        if self.backoff_initial_s < 0:
+        if not self.backoff_initial_s >= 0:
             raise ValueError("backoff_initial_s must be non-negative")
-        if self.backoff_multiplier < 1.0:
+        if not self.backoff_multiplier >= 1.0:
             raise ValueError("backoff_multiplier must be at least 1")
-        if self.backoff_max_s < 0:
+        if not self.backoff_max_s >= 0:
             raise ValueError("backoff_max_s must be non-negative")
 
     def backoff(self, failures: int) -> float:

@@ -170,7 +170,7 @@ class CampaignSpec:
             raise ValueError("campaign sweep space is empty")
         if self.tests < 1:
             raise ValueError("need at least one test per combination")
-        if self.duration_seconds <= 0:
+        if not self.duration_seconds > 0:  # NaN fails too
             raise ValueError("duration_seconds must be positive")
 
     @property

@@ -6,9 +6,9 @@ sweeps — then query it millions of times. This package holds the
 persistent service layer those consumers call into:
 
 * :mod:`repro.service.translation` — a phys↔DRAM translation service
-  caching compiled GF(2) mappings keyed by machine/``SystemInfo``
-  fingerprint, with batch lookup kernels and hit/miss accounting through
-  :mod:`repro.obs`.
+  caching each published mapping's compiled GF(2) form under the
+  mapping's content fingerprint, with range-checked batch lookup kernels
+  and hit/miss accounting through :mod:`repro.obs`.
 """
 
 from repro.service.translation import (
@@ -16,7 +16,6 @@ from repro.service.translation import (
     default_service,
     mapping_fingerprint,
     reset_default_service,
-    system_fingerprint,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "default_service",
     "mapping_fingerprint",
     "reset_default_service",
-    "system_fingerprint",
 ]

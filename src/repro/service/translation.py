@@ -1,18 +1,19 @@
 """Persistent in-process phys↔DRAM translation service.
 
 The blacksmith production pattern, made a service: once a machine's
-mapping is recovered (or loaded from disk), it is compiled into the
-GF(2) matrix pair (:class:`~repro.dram.compiled.CompiledMapping`) exactly
-once, cached under a content fingerprint, and every subsequent query —
-single address, million-address batch, "give me N same-bank addresses",
-"give me aggressor sets" — is answered from the compiled form.
+mapping is recovered (or loaded from disk), :meth:`TranslationService.publish`
+caches its compiled GF(2) matrix pair
+(:attr:`AddressMapping.compiled <repro.dram.mapping.AddressMapping.compiled>`,
+the one source of a :class:`~repro.dram.compiled.CompiledMapping`) under
+the mapping's content fingerprint, and every subsequent query — single
+address, million-address batch, "give me N same-bank addresses", "give
+me aggressor sets" — is answered from the compiled form.
 
 Keying reuses the checkpoint journal's content-fingerprint scheme
-(:func:`repro.parallel.grid.fingerprint_payload`): a mapping is keyed by
-its serialised content, a machine by its :class:`~repro.machine.sysinfo.SystemInfo`
-facts. Two identical machines in a simulated fleet therefore share one
-cache entry, which is what makes the fleet-prior work cheap: the first
-machine pays the compile, lookalikes hit.
+(:func:`repro.parallel.grid.fingerprint_payload`) over the serialised
+mapping, so two machines share one cache entry exactly when they wire
+the same mapping, and a key always resolves to the matrices of the
+mapping published under it.
 
 Accounting is double-booked deliberately: the service keeps its own
 monotonic counters (``stats()``, always available, exact per instance)
@@ -20,43 +21,33 @@ monotonic counters (``stats()``, always available, exact per instance)
 runs fold it into the same snapshot the rest of the pipeline uses. The
 obs mirror is restricted to counters that are deterministic functions of
 the workload regardless of process layout: the query stream
-(``translation.phys_to_dram`` / ``translation.dram_to_phys``), explicit
-``register``/``compiled_for`` cache events, and pipeline registrations
-(``translation.registrations`` via :meth:`TranslationService.publish`).
-A *pipeline* registration's hit-vs-miss split depends on which worker's
-process-local cache happened to serve it — jobs=1 and jobs=N would
-disagree — so :meth:`~TranslationService.publish` books hit/miss in
+(``translation.phys_to_dram`` / ``translation.dram_to_phys``) and
+registrations (``translation.registrations``). A registration's
+hit-vs-miss split depends on which worker's process-local cache happened
+to serve it — jobs=1 and jobs=N would disagree — so it is booked in
 ``stats()`` only, preserving the grid trace-determinism contract.
+
+The query plane is where outside input enters, so it refuses addresses
+and coordinates out of range with :class:`~repro.dram.errors.MappingError`:
+the compiled kernels read only the bits below each limit and would
+otherwise alias them silently to some in-range answer.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict
-from pathlib import Path
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from repro.analysis.bits import bit
 from repro.dram.compiled import CompiledMapping
 from repro.dram.errors import MappingError
 from repro.dram.mapping import AddressMapping, DramAddress
-from repro.logutil import get_logger
 from repro.obs import tracing as obs
 from repro.parallel.grid import fingerprint_payload
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.machine.sysinfo import SystemInfo
-
-_LOG = get_logger("repro.service.translation")
 
 __all__ = [
     "TranslationService",
     "default_service",
     "mapping_fingerprint",
     "reset_default_service",
-    "system_fingerprint",
 ]
 
 
@@ -72,9 +63,21 @@ def mapping_fingerprint(mapping: AddressMapping) -> str:
     return fingerprint_payload("repro.service:mapping", mapping_to_dict(mapping))
 
 
-def system_fingerprint(info: "SystemInfo") -> str:
-    """Content fingerprint of a machine's ``SystemInfo`` facts."""
-    return fingerprint_payload("repro.service:system", asdict(info))
+def _check_range(what: str, values, limit: int, style: str = "d") -> None:
+    """Refuse query input outside ``[0, limit)`` with a MappingError."""
+    values = np.asarray(values)
+    bad = values[(values < 0) | (values >= limit)]
+    if bad.size:
+        raise MappingError(
+            f"{what} {int(bad.flat[0]):{style}} out of range "
+            f"(0..{limit - 1:{style}})"
+        )
+
+
+def _check_coordinates(compiled: CompiledMapping, banks, rows, columns) -> None:
+    _check_range("bank", banks, compiled.banks)
+    _check_range("row", rows, compiled.rows)
+    _check_range("column", columns, compiled.columns)
 
 
 class TranslationService:
@@ -91,7 +94,6 @@ class TranslationService:
         self.misses = 0
         self.translations = 0
         self.encodes = 0
-        self.persisted_recoveries = 0
 
     # ------------------------------------------------------------ cache plane
 
@@ -102,228 +104,57 @@ class TranslationService:
         """Fingerprints currently cached, insertion-ordered."""
         return tuple(self._cache)
 
-    def register(
-        self,
-        mapping: AddressMapping,
-        system: "SystemInfo | None" = None,
-    ) -> str:
-        """Compile ``mapping`` (cache-aware) and return its cache key.
+    def publish(self, mapping: AddressMapping) -> str:
+        """Cache ``mapping``'s compiled form; return its content fingerprint.
 
-        Keyed by the machine's ``SystemInfo`` fingerprint when given —
-        the fleet-sharing key — and by the mapping's own content
-        fingerprint otherwise. Registering an already-cached key is a
-        hit: the existing compiled form is kept and no recompile happens.
+        Publishing an already-cached mapping is a hit and keeps the
+        existing compiled form. Hit and miss are booked in ``stats()``
+        only; :mod:`repro.obs` gets ``translation.registrations`` (see
+        the module docstring).
         """
-        key = (
-            system_fingerprint(system)
-            if system is not None
-            else mapping_fingerprint(mapping)
-        )
-        self._get_or_compile(key, mapping)
-        return key
-
-    def publish(
-        self,
-        mapping: AddressMapping,
-        system: "SystemInfo | None" = None,
-    ) -> str:
-        """Pipeline-facing :meth:`register`: identical caching and
-        ``stats()`` accounting, but the only counter mirrored into
-        :mod:`repro.obs` is ``translation.registrations``.
-
-        A registration's hit-vs-miss split is a property of the serving
-        process's cache history, not of the workload — serial and
-        multi-worker grid runs would disagree — so traced pipeline runs
-        record just the layout-deterministic fact that a mapping was
-        published.
-        """
-        key = (
-            system_fingerprint(system)
-            if system is not None
-            else mapping_fingerprint(mapping)
-        )
-        self._get_or_compile(key, mapping, traced=False)
+        key = mapping_fingerprint(mapping)
+        if key in self._cache:
+            self.hits += 1
+        else:
+            self.misses += 1
+            self._cache[key] = mapping.compiled
         obs.inc("translation.registrations")
         return key
-
-    def register_serialized(
-        self,
-        mapping: AddressMapping,
-        compiled_data: dict | None,
-        system: "SystemInfo | None" = None,
-    ) -> str:
-        """Register ``mapping`` with a pre-compiled ``dramdig-compiled-v1``
-        payload, healing a corrupt payload by recompiling.
-
-        The payload is an *untrusted input* (a knowledge-store record, a
-        file another machine produced): it is revalidated by
-        :func:`repro.dram.serialization.compiled_from_dict` and then
-        cross-checked against ``mapping``'s own forward matrix. Any
-        failure — bad JSON structure, a non-inverting ``addr_mtx``, a
-        matrix that belongs to some *other* mapping — is logged, counted
-        in ``stats()['persisted_recoveries']``, and recovered by
-        compiling from the (already validated) mapping. The returned key
-        always ends up holding a correct compiled form.
-
-        Like :meth:`publish`, no hit/miss obs metrics are mirrored:
-        which process-local cache serves the call is a layout accident.
-        """
-        key = (
-            system_fingerprint(system)
-            if system is not None
-            else mapping_fingerprint(mapping)
-        )
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return key
-        self.misses += 1
-        self._cache[key] = self._adopt_compiled(
-            mapping, compiled_data, detail="serialized payload"
-        )
-        return key
-
-    def register_persisted(
-        self,
-        mapping: AddressMapping,
-        path: "str | Path",
-        system: "SystemInfo | None" = None,
-    ) -> str:
-        """Register ``mapping`` from a persisted ``dramdig-compiled-v1``
-        file, recompiling when the file is unreadable or fails
-        revalidation (see :meth:`register_serialized`)."""
-        key = (
-            system_fingerprint(system)
-            if system is not None
-            else mapping_fingerprint(mapping)
-        )
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return key
-        self.misses += 1
-        try:
-            compiled_data = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as error:
-            self.persisted_recoveries += 1
-            _LOG.warning(
-                "persisted compiled mapping %s unreadable (%s); "
-                "recompiling from mapping",
-                path,
-                error,
-            )
-            self._cache[key] = mapping.compiled
-            return key
-        self._cache[key] = self._adopt_compiled(
-            mapping, compiled_data, detail=str(path)
-        )
-        return key
-
-    def _adopt_compiled(
-        self,
-        mapping: AddressMapping,
-        compiled_data: dict | None,
-        detail: str,
-    ) -> CompiledMapping:
-        """Revalidate an untrusted compiled payload against ``mapping``;
-        on any defect, log + count the recovery and recompile."""
-        from repro.dram.serialization import compiled_from_dict
-
-        try:
-            if not isinstance(compiled_data, dict):
-                raise MappingError("compiled payload is not an object")
-            compiled = compiled_from_dict(compiled_data)
-            self._check_compiled_matches(mapping, compiled)
-            return compiled
-        except Exception as error:
-            self.persisted_recoveries += 1
-            _LOG.warning(
-                "compiled payload rejected (%s): %s; recompiling from mapping",
-                detail,
-                error,
-            )
-            return mapping.compiled
-
-    @staticmethod
-    def _check_compiled_matches(
-        mapping: AddressMapping, compiled: CompiledMapping
-    ) -> None:
-        """A structurally valid compiled form may still belong to a
-        *different* mapping; demand the forward matrix is exactly the one
-        ``mapping`` would compile to (columns, rows, then bank functions
-        — the :meth:`CompiledMapping.from_mapping` row order)."""
-        expected = (
-            tuple(bit(position) for position in mapping.column_bits)
-            + tuple(bit(position) for position in mapping.row_bits)
-            + tuple(mapping.bank_functions)
-        )
-        if (
-            compiled.address_bits != mapping.geometry.address_bits
-            or compiled.dram_mtx != expected
-            or compiled.addr_mtx is None
-        ):
-            raise MappingError(
-                "compiled payload does not correspond to the mapping"
-            )
-
-    def compiled_for(
-        self,
-        mapping: AddressMapping,
-        system: "SystemInfo | None" = None,
-    ) -> CompiledMapping:
-        """The compiled form of ``mapping``, from cache when possible."""
-        key = (
-            system_fingerprint(system)
-            if system is not None
-            else mapping_fingerprint(mapping)
-        )
-        return self._get_or_compile(key, mapping)
 
     def compiled(self, key: str) -> CompiledMapping:
         """The cached compiled mapping under ``key``.
 
         Raises:
-            KeyError: when nothing is registered under ``key``.
+            KeyError: when nothing is published under ``key``.
         """
         try:
             return self._cache[key]
         except KeyError:
             raise KeyError(
                 f"no compiled mapping registered under {key[:12]}…; "
-                "call register() first"
+                "call publish() first"
             ) from None
-
-    def _get_or_compile(
-        self, key: str, mapping: AddressMapping, traced: bool = True
-    ) -> CompiledMapping:
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            if traced:
-                obs.inc("translation.cache_hits")
-            return cached
-        self.misses += 1
-        if traced:
-            obs.inc("translation.cache_misses")
-        compiled = mapping.compiled
-        self._cache[key] = compiled
-        if traced:
-            obs.inc("translation.compiles")
-        return compiled
 
     # ------------------------------------------------------------ query plane
 
     def translate(self, key: str, phys_addrs: np.ndarray):
-        """Batched phys → (bank, row, column) under the cached mapping."""
+        """Batched phys → (bank, row, column) under the cached mapping.
+
+        Raises:
+            MappingError: for an address outside the mapping's address space.
+        """
         compiled = self.compiled(key)
         addrs = np.asarray(phys_addrs, dtype=np.uint64)
+        _check_range("physical address", addrs, 1 << compiled.address_bits, "#x")
         self.translations += int(addrs.size)
         obs.inc("translation.phys_to_dram", int(addrs.size))
         return compiled.translate(addrs)
 
     def translate_one(self, key: str, phys_addr: int) -> DramAddress:
-        """Single phys → DRAM translation."""
+        """Single phys → DRAM translation (range-checked like
+        :meth:`translate`)."""
         compiled = self.compiled(key)
+        _check_range("physical address", phys_addr, 1 << compiled.address_bits, "#x")
         self.translations += 1
         obs.inc("translation.phys_to_dram")
         return compiled.translate_one(phys_addr)
@@ -335,16 +166,23 @@ class TranslationService:
         rows: np.ndarray,
         columns: np.ndarray,
     ) -> np.ndarray:
-        """Batched (bank, row, column) → phys under the cached mapping."""
+        """Batched (bank, row, column) → phys under the cached mapping.
+
+        Raises:
+            MappingError: for a bank, row or column at or above its count.
+        """
         compiled = self.compiled(key)
         banks = np.asarray(banks, dtype=np.uint64)
+        _check_coordinates(compiled, banks, rows, columns)
         self.encodes += int(banks.size)
         obs.inc("translation.dram_to_phys", int(banks.size))
         return compiled.encode(banks, rows, columns)
 
     def encode_one(self, key: str, address: DramAddress) -> int:
-        """Single DRAM → phys translation."""
+        """Single DRAM → phys translation (range-checked like
+        :meth:`encode`)."""
         compiled = self.compiled(key)
+        _check_coordinates(compiled, address.bank, address.row, address.column)
         self.encodes += 1
         obs.inc("translation.dram_to_phys")
         return compiled.encode_one(address)
@@ -380,7 +218,6 @@ class TranslationService:
             "misses": self.misses,
             "translations": self.translations,
             "encodes": self.encodes,
-            "persisted_recoveries": self.persisted_recoveries,
         }
 
 

@@ -82,78 +82,12 @@ class TestBeliefRoundtrip:
         assert belief_from_dict(json.loads(json.dumps(data))) is not None
 
 
-class TestCompiledRoundtrip:
-    """The dramdig-compiled-v1 format for the GF(2) matrix pair."""
-
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_all_presets_roundtrip(self, name):
-        from repro.dram.serialization import compiled_from_dict, compiled_to_dict
-
-        compiled = PRESETS[name].mapping.compiled
-        assert compiled_from_dict(compiled_to_dict(compiled)) == compiled
-
-    def test_file_roundtrip(self, tmp_path):
-        from repro.dram.serialization import load_compiled, save_compiled
-
-        compiled = preset("No.2").mapping.compiled
-        path = tmp_path / "compiled.json"
-        save_compiled(compiled, path)
-        back = load_compiled(path)
-        assert back == compiled
-        assert back.invertible
-
-    def test_forward_only_roundtrips(self):
-        from repro.dram.compiled import CompiledMapping
-        from repro.dram.serialization import compiled_from_dict, compiled_to_dict
-
-        belief = BeliefMapping(
-            address_bits=6,
-            bank_functions=(0b11, 0b11),
-            row_bits=(2, 3),
-            column_bits=(4, 5),
-        )
-        compiled = CompiledMapping.from_belief(belief)
-        back = compiled_from_dict(compiled_to_dict(compiled))
-        assert back == compiled
-        assert not back.invertible
-
-    def test_wrong_format_rejected(self):
-        from repro.dram.serialization import compiled_from_dict
-
-        with pytest.raises(MappingError, match="dramdig-compiled-v1"):
-            compiled_from_dict({"format": "dramdig-mapping-v1"})
-
-    def test_tampered_inverse_rejected(self):
-        from repro.dram.serialization import compiled_from_dict, compiled_to_dict
-
-        data = compiled_to_dict(preset("No.1").mapping.compiled)
-        data["addr_mtx"][0] = data["addr_mtx"][1]
-        with pytest.raises(MappingError, match="does not invert"):
-            compiled_from_dict(data)
-
-    def test_inconsistent_widths_rejected(self):
-        from repro.dram.serialization import compiled_from_dict, compiled_to_dict
-
-        data = compiled_to_dict(preset("No.1").mapping.compiled)
-        data["bank_width"] += 1
-        with pytest.raises(MappingError, match="partition"):
-            compiled_from_dict(data)
-
-    def test_out_of_range_row_rejected(self):
-        from repro.dram.serialization import compiled_from_dict, compiled_to_dict
-
-        data = compiled_to_dict(preset("No.1").mapping.compiled)
-        data["dram_mtx"][0] = [data["address_bits"] + 3]
-        with pytest.raises(MappingError, match="exceeds"):
-            compiled_from_dict(data)
-
-
 class TestBackwardCompatibility:
-    """Documents written before the compiled format existed must load."""
+    """Documents written by earlier releases must load."""
 
     # A verbatim dramdig-mapping-v1 document (machine No.1's layout) as
-    # written by save_mapping() before this release: the compiled format
-    # is additive, so this must keep loading — and must compile.
+    # written by save_mapping() in an earlier release: it must keep
+    # loading — and must compile.
     _V1_DOCUMENT = """
     {
       "format": "dramdig-mapping-v1",

@@ -53,6 +53,27 @@ def test_custom_configs_match_across_jobs():
     assert run_determinism(**study, jobs=2) == run_determinism(**study, jobs=1)
 
 
+def test_traced_cells_are_named_by_tool_machine_and_run():
+    from repro.obs import tracing
+
+    tracer = tracing.Tracer()
+    with tracing.activate(tracer):
+        run_determinism(
+            machine_name="No.4",
+            runs=2,
+            seed=1,
+            dramdig_config=FAST_DRAMDIG,
+            drama_config=FAST_DRAMA,
+        )
+    cells = [span.name for span in tracer.spans if span.name.startswith("cell:")]
+    assert cells == [
+        "cell:DRAMDig/No.4/run0",
+        "cell:DRAMDig/No.4/run1",
+        "cell:DRAMA/No.4/run0",
+        "cell:DRAMA/No.4/run1",
+    ]
+
+
 def test_render():
     rows = run_determinism(
         machine_name="No.4",

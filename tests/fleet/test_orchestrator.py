@@ -180,6 +180,15 @@ class TestResume:
         assert "fleet.machines" not in counters
 
 
+class TestCellLabels:
+    def test_pooled_traced_cells_are_named_by_machine(self):
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            run_fleet(_config(size=3, jobs=2))
+        cells = [span.name for span in tracer.spans if span.name.startswith("cell:")]
+        assert cells == ["cell:m000", "cell:m001", "cell:m002"]
+
+
 class TestEmptyOutcome:
     def test_scaling_curve_empty_without_results(self):
         outcome = FleetOutcome(config=_config(), machines=[])

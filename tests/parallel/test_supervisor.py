@@ -46,6 +46,12 @@ class TestGridPolicy:
             {"backoff_initial_s": -0.1},
             {"backoff_multiplier": 0.5},
             {"backoff_max_s": -1.0},
+            {"cell_timeout_s": float("nan")},
+            {"run_deadline_s": float("nan")},
+            {"retries": float("nan")},
+            {"backoff_initial_s": float("nan")},
+            {"backoff_multiplier": float("nan")},
+            {"backoff_max_s": float("nan")},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):

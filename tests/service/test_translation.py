@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.dram.errors import MappingError
 from repro.dram.mapping import DramAddress
 from repro.dram.presets import preset
 from repro.dram.random_mapping import random_mapping
-from repro.machine.sysinfo import SystemInfo
 from repro.obs import tracing as obs
 from repro.service.translation import (
     TranslationService,
     default_service,
     mapping_fingerprint,
     reset_default_service,
-    system_fingerprint,
 )
 
 
@@ -23,18 +22,18 @@ def service():
 
 
 class TestCachePlane:
-    def test_register_compiles_once_then_hits(self, service):
+    def test_publish_compiles_once_then_hits(self, service):
         mapping = preset("No.1").mapping
-        key = service.register(mapping)
+        key = service.publish(mapping)
+        assert key == mapping_fingerprint(mapping)
         assert service.stats()["misses"] == 1
-        assert service.register(mapping) == key
+        assert service.publish(mapping) == key
         assert service.stats() == {
             "cached_mappings": 1,
             "hits": 1,
             "misses": 1,
             "translations": 0,
             "encodes": 0,
-            "persisted_recoveries": 0,
         }
 
     def test_mapping_fingerprint_is_content_based(self):
@@ -45,19 +44,9 @@ class TestCachePlane:
         assert mapping is not rebuilt
         assert mapping_fingerprint(mapping) == mapping_fingerprint(rebuilt)
 
-    def test_system_key_shares_cache_across_fleet(self, service):
-        """Two lookalike machines (same SystemInfo) share one entry."""
-        mapping = preset("No.1").mapping
-        info = SystemInfo.from_geometry(mapping.geometry)
-        first = service.register(mapping, system=info)
-        second = service.register(mapping, system=info)
-        assert first == second == system_fingerprint(info)
-        assert len(service) == 1
-        assert service.stats()["hits"] == 1
-
     def test_different_mappings_get_different_keys(self, service):
         rng = np.random.default_rng(5)
-        keys = {service.register(random_mapping(rng)) for _ in range(5)}
+        keys = {service.publish(random_mapping(rng)) for _ in range(5)}
         assert len(keys) == 5
         assert len(service) == 5
 
@@ -76,7 +65,7 @@ class TestCachePlane:
 class TestQueryPlane:
     def test_translate_and_encode_roundtrip(self, service):
         mapping = preset("No.2").mapping
-        key = service.register(mapping)
+        key = service.publish(mapping)
         pool = np.random.default_rng(0).integers(
             0, 1 << mapping.geometry.address_bits, 512, dtype=np.uint64
         )
@@ -88,7 +77,7 @@ class TestQueryPlane:
 
     def test_scalar_queries(self, service):
         mapping = preset("No.1").mapping
-        key = service.register(mapping)
+        key = service.publish(mapping)
         address = service.translate_one(key, 0x1234567)
         assert address == mapping.dram_address(0x1234567)
         assert service.encode_one(key, address) == 0x1234567
@@ -96,18 +85,37 @@ class TestQueryPlane:
         assert service.stats()["encodes"] == 1
 
     def test_generator_queries_count_as_encodes(self, service):
-        key = service.register(preset("No.1").mapping)
+        key = service.publish(preset("No.1").mapping)
         addrs = service.same_bank_addresses(key, bank=1, count=10)
         assert addrs.size == 10
         victims, above, below = service.adjacent_row_sets(key, bank=1, count=4)
         assert victims.size == above.size == below.size == 4
         assert service.stats()["encodes"] == 10 + 12
 
-    def test_compiled_for_returns_cached_instance(self, service):
-        mapping = preset("No.3").mapping
-        first = service.compiled_for(mapping)
-        second = service.compiled_for(mapping)
-        assert first is second
+    def test_out_of_range_input_refused(self, service):
+        """The compiled kernels read only the bits below each limit, so
+        the query plane refuses what they would alias."""
+        mapping = preset("No.1").mapping
+        key = service.publish(mapping)
+        compiled = service.compiled(key)
+        top = 1 << mapping.geometry.address_bits
+        with pytest.raises(MappingError, match="physical address"):
+            service.translate(key, np.array([0, top], dtype=np.uint64))
+        with pytest.raises(MappingError, match="physical address"):
+            service.translate_one(key, top)
+        for coordinates in (
+            (compiled.banks, 0, 0),
+            (0, compiled.rows, 0),
+            (0, 0, compiled.columns),
+            (0, -1, 0),
+        ):
+            with pytest.raises(MappingError, match="out of range"):
+                service.encode(key, *(np.array([value]) for value in coordinates))
+            with pytest.raises(MappingError, match="out of range"):
+                service.encode_one(key, DramAddress(*coordinates))
+        with pytest.raises(MappingError, match="column"):
+            service.same_bank_addresses(key, bank=2, count=1, column=compiled.columns)
+        assert service.stats()["translations"] == service.stats()["encodes"] == 0
 
 
 class TestMetricsDeterminism:
@@ -124,15 +132,13 @@ class TestMetricsDeterminism:
         tracer = obs.Tracer()
         with obs.activate(tracer):
             service = TranslationService()
-            key = service.register(mapping)
-            service.register(mapping)
+            key = service.publish(mapping)
+            service.publish(mapping)
             pool = np.arange(100, dtype=np.uint64)
             self._query_stream(service, key, pool)
         snapshot = tracer.metrics.snapshot()
         counters = snapshot["counters"]
-        assert counters["translation.cache_misses"] == 1
-        assert counters["translation.cache_hits"] == 1
-        assert counters["translation.compiles"] == 1
+        assert counters["translation.registrations"] == 2
         assert counters["translation.phys_to_dram"] == 100
         assert counters["translation.dram_to_phys"] == 100
 
@@ -148,7 +154,7 @@ class TestMetricsDeterminism:
             tracer = obs.Tracer()
             with obs.activate(tracer):
                 service = TranslationService()
-                key = service.register(mapping)
+                key = service.publish(mapping)
                 self._query_stream(service, key, chunk)
             return tracer.metrics.snapshot()
 
@@ -172,7 +178,7 @@ class TestMetricsDeterminism:
         tracer = obs.Tracer()
         with obs.activate(tracer):
             service = TranslationService()
-            key = service.register(mapping)
+            key = service.publish(mapping)
             for chunk in chunks:
                 self._query_stream(service, key, chunk)
         serial = tracer.metrics.snapshot()["counters"]
@@ -210,7 +216,7 @@ class TestMetricsDeterminism:
 
     def test_untraced_service_still_counts(self):
         service = TranslationService()
-        key = service.register(preset("No.1").mapping)
+        key = service.publish(preset("No.1").mapping)
         service.translate(key, np.arange(10, dtype=np.uint64))
         assert service.stats()["translations"] == 10
 
@@ -229,7 +235,8 @@ class TestPipelineRegistration:
             compiled = service.compiled(result.translation_key)
             assert compiled is result.compiled
             assert compiled is result.mapping.compiled
-            # keyed by SystemInfo: a rerun of a lookalike machine hits
+            assert result.translation_key == mapping_fingerprint(result.mapping)
+            # keyed by content: a rerun that recovers the same mapping hits
             before = service.stats()["hits"]
             machine2 = SimulatedMachine.from_preset(preset("No.4"), seed=2)
             result2 = DramDig().run(machine2)
@@ -238,76 +245,26 @@ class TestPipelineRegistration:
         finally:
             reset_default_service()
 
+    def test_equal_systeminfo_different_mappings_get_their_own_keys(self):
+        """Machines that report one SystemInfo but wire different mappings
+        (the fleet's adversarial imposters) must not share a cache entry:
+        each result's key resolves to its own mapping's compiled form."""
+        from repro.core.dramdig import DramDig
+        from repro.machine.machine import SimulatedMachine
 
-class TestPersistedRecovery:
-    """Untrusted compiled payloads (knowledge-store records, files from
-    other machines) must heal by recompiling, never by trusting."""
-
-    def _mapping(self):
-        return preset("No.1").mapping
-
-    def test_good_payload_adopted_without_recovery(self, service):
-        from repro.dram.serialization import compiled_to_dict
-
-        mapping = self._mapping()
-        payload = compiled_to_dict(mapping.compiled)
-        key = service.register_serialized(mapping, payload)
-        assert service.stats()["persisted_recoveries"] == 0
-        assert service.compiled(key).dram_mtx == mapping.compiled.dram_mtx
-
-    def test_garbage_payload_recompiles(self, service):
-        mapping = self._mapping()
-        key = service.register_serialized(mapping, {"format": "nonsense"})
-        assert service.stats()["persisted_recoveries"] == 1
-        assert service.compiled(key).dram_mtx == mapping.compiled.dram_mtx
-
-    def test_none_payload_recompiles(self, service):
-        mapping = self._mapping()
-        service.register_serialized(mapping, None)
-        assert service.stats()["persisted_recoveries"] == 1
-
-    def test_other_mappings_compiled_form_rejected(self, service):
-        from repro.dram.serialization import compiled_to_dict
-
-        mine = self._mapping()
-        other = preset("No.4").mapping
-        imposter = compiled_to_dict(other.compiled)
-        key = service.register_serialized(mine, imposter)
-        assert service.stats()["persisted_recoveries"] == 1
-        # The adopted compiled form is *mine*, not the imposter's.
-        assert service.compiled(key).dram_mtx == mine.compiled.dram_mtx
-
-    def test_cache_hit_skips_revalidation(self, service):
-        mapping = self._mapping()
-        service.register_serialized(mapping, {"format": "nonsense"})
-        service.register_serialized(mapping, {"format": "still nonsense"})
-        assert service.stats()["persisted_recoveries"] == 1
-        assert service.stats()["hits"] == 1
-
-    def test_persisted_file_roundtrip(self, service, tmp_path):
-        import json as jsonlib
-
-        from repro.dram.serialization import compiled_to_dict
-
-        mapping = self._mapping()
-        path = tmp_path / "compiled.json"
-        path.write_text(jsonlib.dumps(compiled_to_dict(mapping.compiled)))
-        key = service.register_persisted(mapping, path)
-        assert service.stats()["persisted_recoveries"] == 0
-        assert service.compiled(key).dram_mtx == mapping.compiled.dram_mtx
-
-    def test_missing_file_recompiles(self, service, tmp_path):
-        mapping = self._mapping()
-        key = service.register_persisted(mapping, tmp_path / "nope.json")
-        assert service.stats()["persisted_recoveries"] == 1
-        assert service.compiled(key).dram_mtx == mapping.compiled.dram_mtx
-
-    def test_garbled_file_recompiles(self, service, tmp_path):
-        mapping = self._mapping()
-        path = tmp_path / "compiled.json"
-        path.write_text('{"half a json')
-        service.register_persisted(mapping, path)
-        assert service.stats()["persisted_recoveries"] == 1
-
-    def test_stats_exposes_the_counter(self, service):
-        assert "persisted_recoveries" in service.stats()
+        geometry = preset("No.1").mapping.geometry
+        rng = np.random.default_rng(3)
+        first, second = (random_mapping(rng, geometry) for _ in range(2))
+        assert not first.equivalent_to(second)
+        machines = [SimulatedMachine(mapping, seed=1) for mapping in (first, second)]
+        assert machines[0].sysinfo() == machines[1].sysinfo()
+        reset_default_service()
+        try:
+            results = [DramDig().run(machine) for machine in machines]
+            assert results[0].translation_key != results[1].translation_key
+            service = default_service()
+            for result in results:
+                compiled = service.compiled(result.translation_key)
+                assert compiled == result.mapping.compiled
+        finally:
+            reset_default_service()

@@ -82,16 +82,17 @@ def test_max_retries_rejects_negative(capsys):
 
 
 def test_cell_timeout_rejects_non_positive(capsys):
-    for bad in ("0", "-3", "abc"):
+    for bad in ("0", "-3", "abc", "nan"):
         with pytest.raises(SystemExit):
             main(["table1", "--cell-timeout", bad])
     assert "--cell-timeout" in capsys.readouterr().err
 
 
 def test_run_deadline_rejects_non_positive(capsys):
-    with pytest.raises(SystemExit):
-        main(["figure2", "--run-deadline", "0"])
-    assert "positive number of seconds" in capsys.readouterr().err
+    for bad in ("0", "nan"):
+        with pytest.raises(SystemExit):
+            main(["figure2", "--run-deadline", bad])
+        assert "positive number of seconds" in capsys.readouterr().err
 
 
 def test_grid_retries_rejects_negative(capsys):
@@ -344,6 +345,18 @@ class TestTranslate:
         assert main(["translate", "No.1", "--phys", "zzz"]) == 2
         assert main(["translate", "No.1", "--dram", "1,2"]) == 2
         assert main(["translate", "--mapping", str(tmp_path / "nope.json")]) == 1
+        # Out of range for No.1 (8 GiB, 16 banks): refused, never aliased.
+        for argv in (
+            ["--phys", "0x200000000"],
+            ["--phys=-5"],
+            ["--dram", "99,0,0"],
+            ["--dram=-1,0,0"],
+            ["--same-bank", "99"],
+            ["--same-bank", "2", "--column", "99999"],
+            ["--aggressors", "1", "--count", "-2"],
+        ):
+            assert main(["translate", "No.1", *argv]) == 2, argv
+            assert "->" not in capsys.readouterr().out
 
 
 class TestHammerValidation:
@@ -357,7 +370,7 @@ class TestHammerValidation:
         assert "--tests must be a positive integer" in capsys.readouterr().err
 
     def test_rejects_non_positive_minutes(self, capsys):
-        for bad in ("0", "-5", "-0.5"):
+        for bad in ("0", "-5", "-0.5", "nan"):
             with pytest.raises(SystemExit):
                 main(["hammer", "No.4", "--minutes", bad])
         assert "test duration must be positive" in capsys.readouterr().err
@@ -439,8 +452,9 @@ class TestCampaignCli:
     def test_run_validates_tests_and_duration(self, capsys):
         with pytest.raises(SystemExit):
             main(["campaign", "run", "--tests", "0"])
-        with pytest.raises(SystemExit):
-            main(["campaign", "run", "--duration", "-1"])
+        for bad in ("-1", "nan"):
+            with pytest.raises(SystemExit):
+                main(["campaign", "run", "--duration", bad])
 
     def test_run_resumes_from_a_journal(self, tmp_path, capsys):
         journal = tmp_path / "campaign.jsonl"
@@ -519,6 +533,16 @@ class TestObsCli:
         assert main([
             "obs", "diff", str(base), str(other), "--tolerance", "0.5",
         ]) == 0
+
+    def test_obs_diff_tolerance_rejects_negative_and_nan(self, tmp_path, capsys):
+        base, other = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        self._write_trace(base, 3e9)
+        self._write_trace(other, 300e9)
+        for bad in ("-0.1", "nan"):
+            with pytest.raises(SystemExit):
+                main(["obs", "diff", str(base), str(other), "--tolerance", bad])
+            assert "--tolerance must be non-negative" in capsys.readouterr().err
+        assert main(["obs", "diff", str(base), str(other), "--tolerance", "0"]) == 1
 
     def test_obs_diff_rejects_missing_trace(self, tmp_path, capsys):
         assert main([
