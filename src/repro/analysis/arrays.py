@@ -1,10 +1,10 @@
-"""Small array utilities shared by the allocator and the tools.
+"""Small array utilities shared by the pipeline and the tools.
 
 :func:`sorted_unique`: numpy 2.x routes ``np.unique`` for integer
 arrays through a hash table (``_unique_hash``) that profiles an order
-of magnitude slower than a plain sort on the multi-hundred-thousand-
-frame arrays the simulated allocator and DRAMA's pool sampling produce
-— and those callers only ever need the classic sorted-unique contract.
+of magnitude slower than a plain sort on the large address pools that
+Algorithm 1, partitioning and DRAMA's pool sampling produce — and
+those callers only ever need the classic sorted-unique contract.
 Sorting and masking repeats returns exactly what ``np.unique`` returns,
 just much faster.
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -103,9 +104,14 @@ _seconds_arg = _checked(
 _tests_arg = _checked(
     int, lambda tests: tests < 1, "--tests must be a positive integer (got {value})"
 )
-# Simulated test length, in minutes or seconds per flag.
+# Simulated test length in seconds; minutes must stay finite once in seconds.
 _duration_arg = _checked(
-    float, lambda value: not value > 0, "test duration must be positive (got {text})"
+    float, lambda seconds: not 0 < seconds < math.inf,
+    "test duration must be positive and finite (got {text})",
+)
+_minutes_arg = _checked(
+    float, lambda minutes: not 0 < minutes * 60 < math.inf,
+    "test duration must be positive and finite (got {text} minutes)",
 )
 _tolerance_arg = _checked(
     float, lambda fraction: not fraction >= 0,
@@ -215,9 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     hammer_cmd.add_argument(
         "--minutes",
-        type=_duration_arg,
+        type=_minutes_arg,
         default=5.0,
-        help="minutes per test (default 5; must be positive)",
+        help="minutes per test (default 5; must be positive and finite)",
     )
     hammer_cmd.add_argument(
         "--decoy-rows",

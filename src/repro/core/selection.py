@@ -61,6 +61,19 @@ class SelectionResult:
         return int(self.pool.size)
 
 
+def _smallest_superset(mask: int, floor: int) -> int:
+    """The smallest ``x >= floor`` with ``x & mask == mask``.
+
+    Past the highest bit of ``mask`` missing from ``floor``, set that bit,
+    keep the bits above it and take the bits below it from ``mask``.
+    """
+    missing = mask & ~floor
+    if not missing:
+        return floor
+    bit = 1 << (missing.bit_length() - 1)
+    return (floor & ~(2 * bit - 1)) | bit | mask
+
+
 def select_addresses(pages: PhysPages, bank_bits: tuple[int, ...]) -> SelectionResult:
     """Run Algorithm 1 over the allocated pages.
 
@@ -81,15 +94,21 @@ def select_addresses(pages: PhysPages, bank_bits: tuple[int, ...]) -> SelectionR
     # Page-visible part of the range condition (see module docstring).
     condition_mask = range_mask & ~(PAGE_SIZE - 1)
 
-    # Filter in frame space: the condition mask is page-aligned, so a page
-    # address satisfies it iff its frame number satisfies the shifted mask —
-    # no need to materialise an address per allocated page.
-    frames = pages.page_numbers
-    condition_frames = np.uint64(condition_mask >> PAGE_SHIFT)
-    candidates = frames[(frames & condition_frames) == condition_frames]
+    # Search in frame space: the condition mask is page-aligned, so a page
+    # address satisfies it iff its frame satisfies the shifted mask ``m``.
+    # The paper's scan takes the first allocated frame ``f`` (ascending)
+    # with ``f & m == m`` whose frames ``[f - m, f]`` are all allocated; in
+    # run ``[s, e)`` that is the smallest superset of ``m`` at or above
+    # ``s + m``, when it lies below ``e``. Only runs longer than ``m`` can
+    # hold one, and the first run that does holds the answer.
+    condition_frames = condition_mask >> PAGE_SHIFT
     range_start = range_end = -1
-    for candidate_frame in candidates:
-        candidate = int(candidate_frame) << PAGE_SHIFT
+    long_runs = np.flatnonzero(pages.ends - pages.starts > np.uint64(condition_frames))
+    for run in long_runs.tolist():
+        frame = _smallest_superset(condition_frames, int(pages.starts[run]) + condition_frames)
+        if frame >= int(pages.ends[run]):
+            continue
+        candidate = frame << PAGE_SHIFT
         p_start = candidate - condition_mask
         p_end = candidate + PAGE_SIZE
         if pages.has_range(p_start, p_end):

@@ -12,17 +12,18 @@ physical pages can be scattered. We model three allocation behaviours:
 * ``sparse``      — uniformly random pages covering a fraction of memory;
   what DRAMA's unprivileged allocation looks like on a loaded machine.
 
-A :class:`PhysPages` result supports O(1) membership tests and vectorized
-queries, because Algorithm 1 probes millions of candidate addresses.
+A :class:`PhysPages` result stores the allocation as sorted, disjoint runs
+of consecutive frames, so a contiguous block costs O(1) whatever its size
+and a membership query is one binary search over the run starts, O(log
+runs), because Algorithm 1 probes millions of candidate addresses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.arrays import sorted_unique
 from repro.dram.errors import AllocationError
 
 __all__ = ["PAGE_SIZE", "PAGE_SHIFT", "PhysPages", "PageAllocator"]
@@ -33,63 +34,105 @@ PAGE_SHIFT = 12
 
 @dataclass(frozen=True)
 class PhysPages:
-    """A set of allocated physical pages.
+    """A set of allocated physical pages, as maximal runs of frames.
+
+    A frame is ``addr >> PAGE_SHIFT``; run ``i`` holds the frames
+    ``[starts[i], ends[i])``. The constructor accepts runs in any order,
+    overlapping or touching, and merges them, so that no two stored runs
+    are adjacent: a range query across a seam between two runs would
+    otherwise answer wrongly. Frame arrays come in through
+    :meth:`from_frames`.
+
+    Queries convert every scalar to ``np.uint64`` before it meets the
+    uint64 run arrays: NumPy 2 promotes a Python int against uint64 to
+    float64, which would copy the whole array on every call.
 
     Attributes:
-        page_numbers: sorted unique physical frame numbers (addr >> 12).
+        starts: first frame of each run, ascending (uint64).
+        ends: one past the last frame of each run (uint64).
         total_bytes: size of the machine's physical memory (for bounds).
     """
 
-    page_numbers: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
     total_bytes: int
+    #: Number of frames in the runs before each run (int64).
+    _first_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _frame_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pages = np.asarray(self.page_numbers, dtype=np.uint64)
-        # np.unique's hash path is very slow on multi-million uint64 arrays;
-        # every allocator already produces sorted unique frames, so only pay
-        # for deduplication when the input actually needs it.
-        if pages.size > 1 and not bool(np.all(pages[1:] > pages[:-1])):
-            pages = sorted_unique(pages)
-        object.__setattr__(self, "page_numbers", pages)
+        starts = np.asarray(self.starts, dtype=np.uint64)
+        ends = np.asarray(self.ends, dtype=np.uint64)
+        if starts.shape != ends.shape:
+            raise AllocationError("runs need as many starts as ends")
+        nonempty = ends > starts
+        starts, ends = starts[nonempty], ends[nonempty]
+        if starts.size > 1:
+            order = np.argsort(starts)
+            starts, reach = starts[order], np.maximum.accumulate(ends[order])
+            # A run opens a new maximal run only past the reach of every
+            # earlier one: touching runs (start == reach) merge.
+            opens = np.flatnonzero(starts[1:] > reach[:-1]) + 1
+            starts = starts[np.concatenate(([0], opens))]
+            ends = reach[np.concatenate((opens, [reach.size])) - 1]
+        lengths = (ends - starts).astype(np.int64)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "_first_index", np.cumsum(lengths) - lengths)
+        object.__setattr__(self, "_frame_count", int(lengths.sum()))
+
+    @classmethod
+    def from_frames(cls, frames: np.ndarray, total_bytes: int) -> "PhysPages":
+        """The page set holding ``frames``, in any order, repeats allowed."""
+        frames = np.asarray(frames, dtype=np.uint64)
+        return cls(starts=frames, ends=frames + np.uint64(1), total_bytes=total_bytes)
 
     def __len__(self) -> int:
-        return int(self.page_numbers.size)
+        return self._frame_count
 
     @property
     def byte_count(self) -> int:
         """Total bytes covered by the allocated pages."""
         return len(self) * PAGE_SIZE
 
+    @property
+    def page_numbers(self) -> np.ndarray:
+        """Every allocated frame, ascending; built on demand in O(frames)."""
+        return self._frames_at(np.arange(len(self), dtype=np.int64))
+
+    def _frames_at(self, indices: np.ndarray) -> np.ndarray:
+        """The frames at positions ``indices`` of the ascending frame list."""
+        runs = np.searchsorted(self._first_index, indices, side="right") - 1
+        return self.starts[runs] + (indices - self._first_index[runs]).astype(np.uint64)
+
+    def _run_of(self, frame: int) -> int:
+        """Index of the last run starting at or below ``frame``, or -1."""
+        return int(np.searchsorted(self.starts, np.uint64(frame), side="right")) - 1
+
     def has_page(self, phys_addr: int) -> bool:
         """True when the page containing ``phys_addr`` is allocated."""
+        if not 0 <= phys_addr < self.total_bytes:
+            return False
         frame = phys_addr >> PAGE_SHIFT
-        index = int(np.searchsorted(self.page_numbers, frame))
-        return index < self.page_numbers.size and int(self.page_numbers[index]) == frame
+        run = self._run_of(frame)
+        return run >= 0 and frame < int(self.ends[run])
 
     def has_pages(self, phys_addrs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`has_page` (binary search on the sorted frames)."""
+        """Vectorized :meth:`has_page` (binary search on the run starts)."""
         frames = np.asarray(phys_addrs, dtype=np.uint64) >> np.uint64(PAGE_SHIFT)
-        if self.page_numbers.size == 0:
+        if self.starts.size == 0:
             return np.zeros(frames.shape, dtype=bool)
-        indices = np.searchsorted(self.page_numbers, frames)
-        indices = np.minimum(indices, self.page_numbers.size - 1)
-        return self.page_numbers[indices] == frames
+        runs = np.searchsorted(self.starts, frames, side="right") - 1
+        return (runs >= 0) & (frames < self.ends[runs])
 
     def has_range(self, start: int, end: int) -> bool:
         """True when every page of [start, end) is allocated — Algorithm 1's
-        ``!page_miss(phys_pages, P_start, P_end)`` check."""
-        first = start >> PAGE_SHIFT
-        last = (end - 1) >> PAGE_SHIFT
-        index = np.searchsorted(self.page_numbers, first)
-        count = last - first + 1
-        if index + count > self.page_numbers.size:
+        ``!page_miss(phys_pages, P_start, P_end)`` check. An empty range, or
+        one reaching outside physical memory, answers False."""
+        if not 0 <= start < end <= self.total_bytes:
             return False
-        window = self.page_numbers[index : index + count]
-        return bool(
-            window.size == count
-            and window[0] == first
-            and window[-1] == last
-        )
+        run = self._run_of(start >> PAGE_SHIFT)
+        return run >= 0 and (end - 1) >> PAGE_SHIFT < int(self.ends[run])
 
     def addresses(self) -> np.ndarray:
         """Base physical address of every allocated page."""
@@ -97,10 +140,14 @@ class PhysPages:
 
     def sample_addresses(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Random addresses inside allocated pages (cache-line aligned), the
-        raw material of DRAMA-style random pools."""
+        raw material of DRAMA-style random pools.
+
+        The page draw is ``rng.integers(0, len(self), count)``, the stream
+        ``rng.choice`` over the frame array would draw.
+        """
         if count <= 0:
             raise AllocationError("sample count must be positive")
-        frames = rng.choice(self.page_numbers, size=count, replace=True)
+        frames = self._frames_at(rng.integers(0, len(self), size=count))
         line_offsets = rng.integers(0, PAGE_SIZE // 64, size=count, dtype=np.uint64)
         return (frames << np.uint64(PAGE_SHIFT)) | (line_offsets << np.uint64(6))
 
@@ -148,8 +195,7 @@ class PageAllocator:
         frames = self._check_request(request_bytes)
         low, high = self._frame_range
         start = int(rng.integers(low, high - frames + 1))
-        pages = np.arange(start, start + frames, dtype=np.uint64)
-        return PhysPages(page_numbers=pages, total_bytes=self.total_bytes)
+        return PhysPages(starts=[start], ends=[start + frames], total_bytes=self.total_bytes)
 
     def allocate_fragmented(
         self,
@@ -163,10 +209,16 @@ class PageAllocator:
         ``max_order`` caps block size at ``2**max_order`` pages (order 10 =
         4 MiB, the Linux buddy maximum). ``hole_fraction`` of the pages
         inside chosen blocks are withheld, modelling pages the OS kept.
+        Blocks may overlap; the result is their union.
         """
         frames_needed = self._check_request(request_bytes)
         low, high = self._frame_range
-        chunks: list[np.ndarray] = []
+        block_starts: list[int] = []
+        block_offsets: list[int] = []  # where each block begins in ``flags``
+        # Each block's keep mask, then one False so no run crosses a block edge.
+        flags: list[np.ndarray] = []
+        block_edge = np.zeros(1, dtype=bool)
+        position = 0
         collected = 0
         attempts = 0
         while collected < frames_needed:
@@ -179,14 +231,26 @@ class PageAllocator:
             start &= ~(size - 1)  # buddy blocks are order-aligned
             if start < low:
                 continue
-            block = np.arange(start, min(start + size, high), dtype=np.uint64)
+            frames = min(start + size, high) - start
             if hole_fraction > 0:
-                keep = rng.random(block.size) >= hole_fraction
-                block = block[keep]
-            chunks.append(block)
-            collected += block.size
-        pages = sorted_unique(np.concatenate(chunks))
-        return PhysPages(page_numbers=pages, total_bytes=self.total_bytes)
+                keep = rng.random(frames) >= hole_fraction
+            else:
+                keep = np.ones(frames, dtype=bool)
+            block_starts.append(start)
+            block_offsets.append(position)
+            position += frames + 1
+            flags.extend((keep, block_edge))
+            collected += int(np.count_nonzero(keep))
+        # Kept runs of every block in one pass: each flip of the flags opens
+        # or closes a run, and a position maps to its frame through its block.
+        flips = np.flatnonzero(np.diff(np.concatenate(flags), prepend=False))
+        run_first, run_stop = flips[0::2], flips[1::2]
+        offsets = np.asarray(block_offsets, dtype=np.int64)
+        block = np.searchsorted(offsets, run_first, side="right") - 1
+        shift = np.asarray(block_starts, dtype=np.int64)[block] - offsets[block]
+        return PhysPages(
+            starts=run_first + shift, ends=run_stop + shift, total_bytes=self.total_bytes
+        )
 
     def allocate_sparse(
         self, request_bytes: int, rng: np.random.Generator
@@ -194,12 +258,9 @@ class PageAllocator:
         """Uniformly random pages, no contiguity guarantee at all."""
         frames_needed = self._check_request(request_bytes)
         low, high = self._frame_range
-        pages = rng.choice(
-            np.arange(low, high, dtype=np.uint64),
-            size=min(frames_needed, high - low),
-            replace=False,
-        )
-        return PhysPages(page_numbers=np.sort(pages), total_bytes=self.total_bytes)
+        # Draws what rng.choice over np.arange(low, high) would draw.
+        offsets = rng.choice(high - low, size=min(frames_needed, high - low), replace=False)
+        return PhysPages.from_frames(offsets + low, total_bytes=self.total_bytes)
 
     def allocate_hugepages(
         self, request_bytes: int, rng: np.random.Generator, huge_bytes: int = 1 << 21
@@ -209,11 +270,9 @@ class PageAllocator:
         frames_needed = self._check_request(request_bytes)
         frames_per_huge = huge_bytes >> PAGE_SHIFT
         low, high = self._frame_range
-        chunks: list[np.ndarray] = []
         used_starts: set[int] = set()
-        collected = 0
         attempts = 0
-        while collected < frames_needed:
+        while len(used_starts) * frames_per_huge < frames_needed:
             attempts += 1
             if attempts > 10_000:
                 raise AllocationError("hugepage allocation did not converge")
@@ -222,7 +281,9 @@ class PageAllocator:
             if start < low or start in used_starts:
                 continue
             used_starts.add(start)
-            chunks.append(np.arange(start, start + frames_per_huge, dtype=np.uint64))
-            collected += frames_per_huge
-        pages = sorted_unique(np.concatenate(chunks))
-        return PhysPages(page_numbers=pages, total_bytes=self.total_bytes)
+        block_starts = np.fromiter(used_starts, dtype=np.uint64, count=len(used_starts))
+        return PhysPages(
+            starts=block_starts,
+            ends=block_starts + np.uint64(frames_per_huge),
+            total_bytes=self.total_bytes,
+        )

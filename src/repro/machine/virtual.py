@@ -67,7 +67,7 @@ class VirtualBuffer:
         the virtual layout, so the frame order is shuffled — the reason
         tools cannot assume virtual contiguity means physical contiguity.
         """
-        frames = pages.page_numbers.copy()
+        frames = pages.page_numbers
         rng.shuffle(frames)
         return cls(va_base=va_base, frames=frames, total_bytes=pages.total_bytes)
 
@@ -137,4 +137,4 @@ class VirtualBuffer:
 
     def phys_pages(self) -> PhysPages:
         """The physical-page view the reverse-engineering pipeline uses."""
-        return PhysPages(page_numbers=np.sort(self.frames), total_bytes=self.total_bytes)
+        return PhysPages.from_frames(self.frames, total_bytes=self.total_bytes)

@@ -39,6 +39,7 @@ flips-per-simulated-minute ranking, rendered through
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -170,8 +171,8 @@ class CampaignSpec:
             raise ValueError("campaign sweep space is empty")
         if self.tests < 1:
             raise ValueError("need at least one test per combination")
-        if not self.duration_seconds > 0:  # NaN fails too
-            raise ValueError("duration_seconds must be positive")
+        if not 0 < self.duration_seconds < math.inf:  # NaN fails too
+            raise ValueError("duration_seconds must be positive and finite")
 
     @property
     def cell_count(self) -> int:

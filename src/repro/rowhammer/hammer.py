@@ -13,6 +13,7 @@ gap between DRAMDig and DRAMA emerges entirely from belief quality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,6 +53,10 @@ class HammerConfig:
     buffer_fraction: float = 0.25
     test_variability: float = 0.25
     refresh_window_ms: float = 64.0
+
+    def __post_init__(self) -> None:
+        if not 0 < self.duration_seconds < math.inf:  # NaN fails too
+            raise ValueError("duration_seconds must be positive and finite")
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Property tests for repro.analysis.arrays.
 
-``sorted_unique`` replaced ``np.unique`` on the allocator/partition hot
+``sorted_unique`` replaced ``np.unique`` on the selection/partition hot
 paths for speed; these tests pin that the replacement is *exactly*
 ``np.unique`` on every input shape that matters (empty, single,
 duplicate-heavy, already sorted, reversed).

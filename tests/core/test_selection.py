@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.bits import mask_of_bits
 from repro.core.selection import select_addresses
 from repro.dram.errors import SelectionError
 from repro.dram.presets import preset
+from repro.machine.allocator import PAGE_SHIFT, PAGE_SIZE, PhysPages
 from repro.machine.machine import SimulatedMachine
 from repro.memctrl.timing import NoiseParams
 
@@ -117,3 +120,56 @@ def test_range_geometry():
         (selection.range_mask & ~0xFFF) + 4096
     )
     assert selection.range_mask == (1 << 20) - (1 << 6)
+
+
+def frame_scan_range(pages, bank_bits):
+    """Reference page search: scan every allocated frame ``f`` in order for
+    the first with ``f & m == m`` whose frames ``[f - m, f]`` are all
+    allocated; return ``(range_start, range_end)``, or None."""
+    b_min, b_max = min(bank_bits), max(bank_bits)
+    condition_mask = ((1 << (b_max + 1)) - (1 << b_min)) & ~(PAGE_SIZE - 1)
+    span = condition_mask >> PAGE_SHIFT
+    frames = pages.page_numbers
+    for frame in frames[(frames & np.uint64(span)) == np.uint64(span)].tolist():
+        # frames are sorted and unique: [f - m, f] is allocated iff the frame
+        # m places after f - m is f itself.
+        first = int(np.searchsorted(frames, np.uint64(max(frame - span, 0))))
+        last = first + span
+        if last < frames.size and frames[first] == frame - span and frames[last] == frame:
+            candidate = frame << PAGE_SHIFT
+            return candidate - condition_mask, candidate + PAGE_SIZE
+    return None
+
+
+def selected_range(pages, bank_bits):
+    try:
+        selection = select_addresses(pages, bank_bits)
+    except SelectionError:
+        return None
+    return selection.range_start, selection.range_end
+
+
+@pytest.mark.parametrize("strategy", ["fragmented", "hugepages", "sparse"])
+@pytest.mark.parametrize(
+    "bank_bits", [BANK_BITS["No.4"], BANK_BITS["No.1"], (6, 12, 13), (7, 13, 14, 15), (12, 17)]
+)
+def test_page_search_matches_frame_scan(strategy, bank_bits):
+    for seed in range(3):
+        pages = pages_for("No.4", fraction=0.5, strategy=strategy, seed=seed)
+        expected = frame_scan_range(pages, bank_bits)
+        assert selected_range(pages, bank_bits) == expected
+        if strategy != "sparse":
+            assert expected is not None
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 4095), st.integers(1, 300)), min_size=1, max_size=10),
+    st.sets(st.integers(6, 22), min_size=1, max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_page_search_matches_frame_scan_on_random_runs(runs, bank_bits):
+    total = 4096 * PAGE_SIZE
+    frames = [frame for start, length in runs for frame in range(start, min(start + length, 4096))]
+    pages = PhysPages.from_frames(np.array(frames, dtype=np.uint64), total)
+    bank_bits = tuple(sorted(bank_bits))
+    assert selected_range(pages, bank_bits) == frame_scan_range(pages, bank_bits)

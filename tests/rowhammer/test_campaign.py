@@ -72,8 +72,9 @@ class TestSpec:
             CampaignSpec(machines=())
         with pytest.raises(ValueError, match="test"):
             CampaignSpec(tests=0)
-        with pytest.raises(ValueError, match="duration"):
-            CampaignSpec(duration_seconds=0.0)
+        for bad in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="duration"):
+                CampaignSpec(duration_seconds=bad)
 
     def test_combos_are_machine_major_and_complete(self):
         combos = list(SPEC.combos())

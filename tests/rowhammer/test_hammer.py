@@ -132,6 +132,11 @@ class TestBookkeeping:
         with pytest.raises(ValueError, match="vulnerability"):
             DoubleSidedAttack(machine_for("No.1"))
 
+    def test_config_refuses_degenerate_durations(self):
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="duration"):
+                HammerConfig(duration_seconds=bad)
+
     def test_clock_charged(self):
         machine = machine_for("No.1")
         DoubleSidedAttack(machine, config=SHORT, vulnerability=0.1).run(

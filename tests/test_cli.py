@@ -370,7 +370,7 @@ class TestHammerValidation:
         assert "--tests must be a positive integer" in capsys.readouterr().err
 
     def test_rejects_non_positive_minutes(self, capsys):
-        for bad in ("0", "-5", "-0.5", "nan"):
+        for bad in ("0", "-5", "-0.5", "nan", "inf", "1e308"):
             with pytest.raises(SystemExit):
                 main(["hammer", "No.4", "--minutes", bad])
         assert "test duration must be positive" in capsys.readouterr().err
@@ -452,7 +452,7 @@ class TestCampaignCli:
     def test_run_validates_tests_and_duration(self, capsys):
         with pytest.raises(SystemExit):
             main(["campaign", "run", "--tests", "0"])
-        for bad in ("-1", "nan"):
+        for bad in ("-1", "nan", "inf"):
             with pytest.raises(SystemExit):
                 main(["campaign", "run", "--duration", bad])
 
