@@ -17,7 +17,10 @@ every entry of :data:`WORKLOADS`:
 3. *resumed*: run again over the same ``J``, ``S`` and ``K``, with
    ``--trace`` and ``--history H``;
 4. *replay*: run a fourth time over the completed ``J`` and ``K``, with
-   ``--trace``.
+   ``--trace``;
+5. *refused*: run with ``--resume`` pointed at the reference trace, and
+   (fleet) with ``--knowledge-store`` and ``--resume`` swapped over the
+   completed ``J`` and ``K``.
 
 Gates, on every workload:
 
@@ -40,7 +43,9 @@ Gates, on every workload:
   ``cell`` events, all with status ``ok``;
 * every cell is named: no ``cell`` event in ``R`` has a label that
   starts with ``cell#`` (the grid's fallback for a payload without a
-  ``name``).
+  ``name``);
+* refusal: each refused run exits 2 and leaves the files it was handed
+  (the reference trace; the fleet's ``J`` and ``K``) byte-identical.
 
 The kill is racy. If the victim finishes before it lands, the three
 gates that need a kill (the checkpoint, the event before it and the
@@ -160,6 +165,18 @@ def complete(role: str, argv: list[str]) -> str:
         raise RuntimeError(f"{role} run exited {result.returncode}:\n"
                            + result.stderr[-2000:])
     return result.stdout
+
+
+def refusal(argv: list[str], *files: Path) -> str | None:
+    """Run a command handed files of the wrong format; what went wrong,
+    if it did not exit 2 with every file byte-identical."""
+    before = [path.read_bytes() for path in files]
+    result = dramdig(*argv)
+    if result.returncode != 2:
+        return f"exited {result.returncode}, not 2"
+    changed = [path.name for path, data in zip(files, before)
+               if path.read_bytes() != data]
+    return f"changed {', '.join(changed)}" if changed else None
 
 
 def kill_once_checkpointed(argv: list[str], journal: Path, baseline: int,
@@ -285,6 +302,15 @@ def run_workload(work: Workload, root: Path) -> tuple[list[str], str]:
                if str(event.get("cell")).startswith("cell#")]
     gate(not unnamed, f"{len(unnamed)} reference cell event(s) carry no name: "
                       f"{', '.join(unnamed[:5])}")
+
+    trace = root / "reference-trace.jsonl"
+    problem = refusal([*work.argv, "--resume", str(trace)], trace)
+    gate(problem is None, f"--resume naming the reference trace: {problem}")
+    if work.store:
+        store = root / "store.jsonl"
+        problem = refusal([*work.argv, "--resume", str(store),
+                           "--knowledge-store", str(journal)], journal, store)
+        gate(problem is None, f"--resume and --knowledge-store swapped: {problem}")
 
     landed = (f"killed mid-flight with {survivors} survivor(s) and "
               f"{heartbeats} event(s) streamed" if killed

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 import time
@@ -48,6 +47,7 @@ from repro.evalsuite import (
     run_table3,
 )
 from repro.faults import FaultInjector, get_profile, profile_names
+from repro.ioutil import RecordFileError, parse_record
 from repro.logutil import get_logger, setup_logging
 from repro.obs.history import DEFAULT_HISTORY_PATH
 from repro.machine.machine import SimulatedMachine
@@ -926,10 +926,10 @@ def _command_obs_tail(args) -> int:
             return
         for raw in chunk[: end + 1].splitlines():
             try:
-                event = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
+                event = parse_record(raw.decode("utf-8", errors="replace"))
+            except ValueError:
                 continue
-            if isinstance(event, dict) and "kind" in event:
+            if "kind" in event:
                 print(render_event(event), flush=True)
         offset += end + 1
 
@@ -1128,25 +1128,30 @@ def main(argv: list[str] | None = None) -> int:
     bus is activated for the same extent and progress events stream to
     PATH as they happen. Without the flags both globals stay ``None``
     and every instrumented hot path reduces to a single is-None test.
+    A journal or store path naming a file of another format exits 2.
     """
     args = _build_parser().parse_args(argv)
     setup_logging(args.log_level, quiet=args.quiet)
     started = time.perf_counter()
-    if args.telemetry:
-        from repro.obs import telemetry
+    try:
+        if args.telemetry:
+            from repro.obs import telemetry
 
-        bus = telemetry.TelemetryBus(args.telemetry, source="main")
-        with telemetry.activate_bus(bus):
-            telemetry.emit("run-start", command=args.command, seed=args.seed)
+            bus = telemetry.TelemetryBus(args.telemetry, source="main")
+            with telemetry.activate_bus(bus):
+                telemetry.emit("run-start", command=args.command, seed=args.seed)
+                code, tracer = _execute(args)
+                telemetry.emit(
+                    "run-end",
+                    command=args.command,
+                    code=code,
+                    wall_s=round(time.perf_counter() - started, 6),
+                )
+        else:
             code, tracer = _execute(args)
-            telemetry.emit(
-                "run-end",
-                command=args.command,
-                code=code,
-                wall_s=round(time.perf_counter() - started, 6),
-            )
-    else:
-        code, tracer = _execute(args)
+    except RecordFileError as error:
+        _LOG.error("refusing %s", error)
+        return 2
     if args.history is not None:
         _record_history(args, code, time.perf_counter() - started, tracer)
     return code

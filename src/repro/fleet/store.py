@@ -10,30 +10,27 @@ mapping (``mapping.compiled``). Records written with a ``compiled`` key
 by earlier versions still pass their integrity check (it hashes whatever
 keys a record holds) and lose the key at the next save.
 
-Durability follows the checkpoint journal: every save rewrites the whole
-file through :func:`repro.ioutil.atomic_write`, so a SIGKILLed fleet run
-leaves either the previous complete store or the new one.
+Every save rewrites the whole file through
+:func:`repro.ioutil.atomic_write`, so a SIGKILLed fleet run leaves either
+the previous complete store or the new one.
 
-Robustness model — the store is an *input from the outside world* (an
-operator may rsync it between machines, hand-edit it, or feed a run a
-poisoned copy), so loading trusts nothing:
-
-* every record carries a content fingerprint over its own body; a
-  garbled or truncated record fails the check and is dropped;
-* the mapping payload is re-validated into a bijection by
-  :func:`repro.dram.serialization.mapping_from_dict`; claims that do not
-  survive validation are dropped;
-* an unreadable or foreign-format file degrades to a cold start.
-
-Every dropped record and every degrade-to-cold-start is recorded as a
-:class:`~repro.faults.recovery.DegradationEvent` in :attr:`KnowledgeStore.events`
-and logged, never raised: a corrupt store must cost re-learning, not the
-fleet run.
+The store is an *input from the outside world* (an operator may rsync
+it between machines, hand-edit it, or feed a run a poisoned copy), so
+loading (:func:`repro.ioutil.read_records`) trusts nothing: a record
+that is torn, garbled or fails its content fingerprint is dropped, a
+mapping claim that :func:`repro.dram.serialization.mapping_from_dict`
+cannot re-validate into a bijection is dropped, and an unreadable file
+degrades to a cold start. Each of these is a
+:class:`~repro.faults.recovery.DegradationEvent` in
+:attr:`KnowledgeStore.events`, logged, never raised: a corrupt store
+must cost re-learning, not the fleet run. A non-empty file whose first
+line is not the version-1 store header (a grid journal, a trace) raises
+:class:`~repro.ioutil.RecordFileError` instead and is left untouched:
+the next save would otherwise overwrite it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +38,7 @@ from repro.dram.mapping import AddressMapping
 from repro.dram.serialization import mapping_from_dict, mapping_to_dict
 from repro.dram.spec import DdrGeneration
 from repro.faults.recovery import DegradationEvent
+from repro.ioutil import atomic_write, dump_records, read_records
 from repro.logutil import get_logger
 from repro.machine.sysinfo import SystemInfo
 from repro.parallel.grid import fingerprint_payload
@@ -169,50 +167,26 @@ class KnowledgeStore:
         self.events.append(event)
         _LOG.warning("knowledge store: %s", event.describe())
 
+    def _skip(self, number: int, reason: str) -> None:
+        self._degrade("skipped-record", f"line {number}: {reason}")
+
     def _load(self) -> None:
+        records = read_records(
+            self.path, STORE_FORMAT, STORE_VERSION, on_bad_line=self._skip
+        )
         try:
-            raw = self.path.read_bytes()
+            next(records, None)  # the header
         except OSError as error:
             self._degrade("unreadable", f"{self.path}: {error}; cold start")
             return
-        # Garbled bytes must not abort the load: undecodable sequences
-        # become replacement characters and fail the per-line checks.
-        text = raw.decode("utf-8", errors="replace")
-        for number, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                self._degrade(
-                    "skipped-record", f"line {number}: not valid JSON (truncated?)"
-                )
-                continue
-            if not isinstance(record, dict):
-                self._degrade("skipped-record", f"line {number}: not an object")
-                continue
-            if "format" in record:
-                if record.get("format") != STORE_FORMAT:
-                    self._degrade(
-                        "foreign-format",
-                        f"{self.path} declares {record.get('format')!r}; cold start",
-                    )
-                    self.entries.clear()
-                    return
-                continue  # valid header
+        for number, record in records:
             if record.get("integrity") != _integrity(record):
-                self._degrade(
-                    "skipped-record", f"line {number}: integrity check failed"
-                )
+                self._skip(number, "integrity check failed")
                 continue
             try:
                 entry = StoreEntry.from_record(record)
             except Exception as error:  # revalidation is the whole point
-                self._degrade(
-                    "skipped-record",
-                    f"line {number}: mapping failed revalidation ({error})",
-                )
+                self._skip(number, f"mapping failed revalidation ({error})")
                 continue
             self.entries[entry.key] = entry
 
@@ -222,17 +196,8 @@ class KnowledgeStore:
         """Atomically rewrite the store file (no-op for in-memory stores)."""
         if self.path is None:
             return
-        from repro.ioutil import atomic_write
-
-        header = json.dumps(
-            {"format": STORE_FORMAT, "version": STORE_VERSION}, sort_keys=True
-        )
-        lines = [header]
-        lines += [
-            json.dumps(entry.to_record(), sort_keys=True)
-            for entry in self.entries.values()
-        ]
-        atomic_write(self.path, "\n".join(lines) + "\n")
+        header = {"format": STORE_FORMAT, "version": STORE_VERSION}
+        atomic_write(self.path, dump_records(header, self.to_records()))
 
     def to_records(self) -> list[dict]:
         """All entries as JSON-safe records (the journal baseline form)."""

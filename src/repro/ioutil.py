@@ -1,22 +1,37 @@
-"""Durable file I/O shared by every artefact writer.
+"""Durable file I/O shared by every artefact writer and JSONL reader.
 
 Every file this repo persists — evaluation reports, recovered-mapping
-JSON, the perf record, the grid checkpoint journal — goes through
-:func:`atomic_write`: the bytes land in a temporary file in the target
-directory, are flushed and fsync'd, and then :func:`os.replace` swaps
-the file into place. A reader (or a run resuming from a checkpoint)
-therefore sees either the previous complete file or the new complete
-file, never a truncated hybrid, even if the writing process is
+JSON, the grid checkpoint journal, the knowledge store, traces — goes
+through :func:`atomic_write`: the bytes land in a temporary file in the
+target directory, are flushed and fsync'd, and then :func:`os.replace`
+swaps the file into place. A reader (or a run resuming from a
+checkpoint) therefore sees either the previous complete file or the new
+complete file, never a truncated hybrid, even if the writing process is
 SIGKILLed mid-write.
+
+The JSONL files share one record layer: :func:`dump_records` is the
+serializer (a header line, then one sorted-key object per record) and
+:func:`read_records` the reader, which hands each line that is not a
+JSON object to the caller's own bad-line policy. The header rule: given
+a format, a file is read only when it is empty or its first line is
+that format's header at that version; any other file raises
+:class:`RecordFileError`, so no writer overwrites a file not its own.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
-__all__ = ["atomic_append", "atomic_write"]
+__all__ = ["RecordFileError", "atomic_append", "atomic_write", "dump_records",
+           "parse_record", "read_records"]
+
+
+class RecordFileError(ValueError):
+    """A JSONL file's first line is not the header its reader expects."""
 
 
 def atomic_write(path: str | Path, data: str | bytes, encoding: str = "utf-8") -> None:
@@ -79,3 +94,65 @@ def atomic_append(path: str | Path, line: str, encoding: str = "utf-8") -> None:
         os.write(fd, payload)
     finally:
         os.close(fd)
+
+
+def dump_records(header: dict, records: Iterable[dict]) -> str:
+    """``header`` then ``records`` as JSONL: sorted keys, one per line."""
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps(record, sort_keys=True) for record in records]
+    return "\n".join(lines) + "\n"
+
+
+def parse_record(line: str) -> dict:
+    """One JSONL line as an object; ValueError says why it is not one."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        raise ValueError("not valid JSON (truncated?)") from None
+    if not isinstance(record, dict):
+        raise ValueError("not an object")
+    return record
+
+
+def read_records(
+    path: str | Path,
+    format: str | None = None,
+    version: int | None = None,
+    on_bad_line: Callable[[int, str], None] | None = None,
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_number, record)`` for every JSON object in ``path``.
+
+    Bytes that are not UTF-8 decode to replacement characters, blank
+    lines are skipped, and every other line :func:`parse_record` refuses
+    goes to ``on_bad_line(line_number, reason)`` (which may raise) and
+    is dropped; ``None`` drops it silently. With a ``format``, the first
+    line must be that format's header at ``version``, and it is yielded
+    first. The whole file is read, and an ``OSError`` or
+    :class:`RecordFileError` raised, at the first ``next()``.
+    """
+    text = Path(path).read_bytes().decode("utf-8", errors="replace")
+    header_due = format is not None
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = parse_record(line)
+        except ValueError as error:
+            if header_due:
+                raise RecordFileError(f"{path}: not a {format} file ({error})") from None
+            if on_bad_line is not None:
+                on_bad_line(number, str(error))
+            continue
+        if header_due:
+            if record.get("format") != format:
+                raise RecordFileError(
+                    f"{path}: not a {format} file (format={record.get('format')!r})"
+                )
+            if record.get("version") != version:
+                # Named by its format's last word: "unsupported trace version".
+                raise RecordFileError(
+                    f"{path}: unsupported {format.rsplit('-', 1)[-1]} version "
+                    f"{record.get('version')!r} (expected {version})"
+                )
+            header_due = False
+        yield number, record

@@ -32,7 +32,7 @@ PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysPages:
     """A set of allocated physical pages, as maximal runs of frames.
 
@@ -57,8 +57,8 @@ class PhysPages:
     ends: np.ndarray
     total_bytes: int
     #: Number of frames in the runs before each run (int64).
-    _first_index: np.ndarray = field(init=False, repr=False, compare=False)
-    _frame_count: int = field(init=False, repr=False, compare=False)
+    _first_index: np.ndarray = field(init=False, repr=False)
+    _frame_count: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         starts = np.asarray(self.starts, dtype=np.uint64)
@@ -86,6 +86,18 @@ class PhysPages:
         """The page set holding ``frames``, in any order, repeats allowed."""
         frames = np.asarray(frames, dtype=np.uint64)
         return cls(starts=frames, ends=frames + np.uint64(1), total_bytes=total_bytes)
+
+    __hash__ = None  # the run arrays are mutable
+
+    def __eq__(self, other: object) -> bool:
+        """The same runs of the same memory (compared by value)."""
+        if not isinstance(other, PhysPages):
+            return NotImplemented
+        return (
+            self.total_bytes == other.total_bytes
+            and np.array_equal(self.starts, other.starts)
+            and np.array_equal(self.ends, other.ends)
+        )
 
     def __len__(self) -> int:
         return self._frame_count

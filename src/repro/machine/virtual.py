@@ -113,6 +113,8 @@ class VirtualBuffer:
 
     def reverse_translate(self, phys_addr: int) -> int | None:
         """PA -> VA when the physical page is mapped here, else None."""
+        if not 0 <= phys_addr < self.total_bytes:
+            return None
         frame = phys_addr >> PAGE_SHIFT
         matches = np.flatnonzero(self.frames == np.uint64(frame))
         if matches.size == 0:

@@ -11,18 +11,19 @@ and a single trailing ``{"type": "metrics", "counters": ..., "histograms":
 
 Files are written through :func:`repro.ioutil.atomic_write`, so a trace
 is either absent or complete — a consumer never sees a torn file, even
-when the writing process is killed mid-export. Loading is strict about
-the header (wrong format/version fails loudly) but tolerant of span
-field evolution via :meth:`SpanRecord.from_json` defaults.
+when the writing process is killed mid-export. Loading, through
+:func:`repro.ioutil.read_records`, is strict about the header (wrong
+format/version fails loudly) and about every line (one that is not a
+JSON object fails naming ``path:line``), but tolerant of span field
+evolution via :meth:`SpanRecord.from_json` defaults.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.ioutil import atomic_write
+from repro.ioutil import atomic_write, dump_records, read_records
 from repro.obs.tracing import SpanRecord, Tracer
 
 __all__ = ["TRACE_FORMAT", "TRACE_VERSION", "TraceFile", "export_trace",
@@ -72,16 +73,14 @@ def render_trace(tracer: Tracer, meta: dict | None = None) -> str:
     if meta:
         header.update(meta)
     open_ids = {record.span_id for record in getattr(tracer, "_stack", ())}
-    lines = [json.dumps(header, sort_keys=True)]
+    records = []
     for record in sorted(tracer.spans, key=lambda span: span.span_id):
         serialized = record.to_json()
         if record.span_id in open_ids and serialized["status"] == "ok":
             serialized["status"] = "open"
-        lines.append(json.dumps(serialized, sort_keys=True))
-    metrics = {"type": "metrics"}
-    metrics.update(tracer.metrics.snapshot())
-    lines.append(json.dumps(metrics, sort_keys=True))
-    return "\n".join(lines) + "\n"
+        records.append(serialized)
+    records.append({"type": "metrics", **tracer.metrics.snapshot()})
+    return dump_records(header, records)
 
 
 def export_trace(
@@ -95,45 +94,30 @@ def load_trace(path: str | Path) -> TraceFile:
     """Parse a JSONL trace written by :func:`export_trace`.
 
     Raises:
-        ValueError: when the file is empty, is not a dramdig trace, or
-            declares an unsupported version.
+        ValueError: when the file is empty, is not a dramdig trace,
+            declares an unsupported version, or holds a line that is not
+            a JSON object or a span (the message names ``path:line``).
     """
-    trace = TraceFile()
-    first = True
-    for line_number, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(
-                f"{path}:{line_number}: not valid JSON: {error}"
-            ) from error
-        if first:
-            if record.get("format") != TRACE_FORMAT:
-                raise ValueError(
-                    f"{path}: not a {TRACE_FORMAT} file "
-                    f"(format={record.get('format')!r})"
-                )
-            if record.get("version") != TRACE_VERSION:
-                raise ValueError(
-                    f"{path}: unsupported trace version {record.get('version')!r} "
-                    f"(expected {TRACE_VERSION})"
-                )
-            trace.header = record
-            first = False
-            continue
+
+    def refuse(number: int, reason: str) -> None:
+        raise ValueError(f"{path}:{number}: {reason}")
+
+    records = read_records(path, TRACE_FORMAT, TRACE_VERSION, on_bad_line=refuse)
+    first = next(records, None)
+    if first is None:
+        raise ValueError(f"{path}: empty trace file")
+    trace = TraceFile(header=first[1])
+    for number, record in records:
         kind = record.get("type")
         if kind == "span":
-            trace.spans.append(SpanRecord.from_json(record))
+            try:
+                trace.spans.append(SpanRecord.from_json(record))
+            except (KeyError, TypeError, ValueError) as error:
+                refuse(number, f"not a span ({error!r})")
         elif kind == "metrics":
             trace.metrics = {
                 "counters": record.get("counters", {}),
                 "histograms": record.get("histograms", {}),
             }
-    if first:
-        raise ValueError(f"{path}: empty trace file")
     trace.spans.sort(key=lambda span: span.span_id)
     return trace

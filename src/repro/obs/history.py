@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.ioutil import atomic_append
+from repro.ioutil import atomic_append, read_records
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -79,22 +79,12 @@ def load_history(path: str | Path) -> list[dict]:
     source = Path(path)
     if not source.exists():
         return []
-    entries: list[dict] = []
-    for line in source.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if (
-            isinstance(record, dict)
-            and record.get("format") == HISTORY_FORMAT
-            and record.get("version") == HISTORY_VERSION
-        ):
-            entries.append(record)
-    return entries
+    return [
+        record
+        for _, record in read_records(source)
+        if record.get("format") == HISTORY_FORMAT
+        and record.get("version") == HISTORY_VERSION
+    ]
 
 
 def fold_history_metrics(entries: list[dict]) -> MetricsRegistry:

@@ -44,7 +44,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.ioutil import atomic_append
+from repro.ioutil import atomic_append, read_records
 
 __all__ = [
     "TelemetryBus",
@@ -142,30 +142,17 @@ def estimate_eta_s(elapsed_s: float, done: int, total: int) -> float | None:
 
 
 def load_events(path: str | Path) -> list[dict]:
-    """Parse a telemetry stream, tolerating a torn final line.
+    """Parse a telemetry stream, dropping every line that is not an event.
 
-    A reader racing the writers (``obs tail``, the kill/resume smoke
-    gate) may catch the file between the open and the append of the very
-    first event, or — on filesystems without atomic ``O_APPEND``
-    semantics — a sheared line. Unparseable lines are skipped rather
-    than fatal: the stream is advisory, and a missing heartbeat must
-    never crash the monitor watching for missing heartbeats.
+    A reader racing the writers may catch a torn final line, or a
+    sheared one where ``O_APPEND`` is not atomic. The stream is advisory:
+    a missing heartbeat must never crash the monitor watching for
+    missing heartbeats.
     """
     source = Path(path)
     if not source.exists():
         return []
-    events: list[dict] = []
-    for line in source.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict) and "kind" in record:
-            events.append(record)
-    return events
+    return [record for _, record in read_records(source) if "kind" in record]
 
 
 def canonical_events(events: list[dict], fold_cached: bool = False) -> list[dict]:

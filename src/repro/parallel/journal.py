@@ -7,32 +7,28 @@ base64-encoded so arbitrary cell return values (dataclasses, tuples,
 floats) round-trip *exactly* — the resume guarantee is byte-identical
 artefacts, not approximately-equal ones.
 
-Durability model: the journal is logically append-only (records are
-never mutated or removed), but every flush rewrites the whole file
-through :func:`repro.ioutil.atomic_write` (temp file + fsync +
-``os.replace``). The file on disk is therefore always a *complete*
-JSONL document: a run SIGKILLed mid-write leaves either the previous
-journal or the new one, never a torn line. Journals are small — one
-line per grid cell, and the paper's largest grid is a few dozen cells —
-so the rewrite costs microseconds. Loading still tolerates corrupt
-lines defensively (a journal hand-edited, copied mid-write over NFS, or
-produced by a crashed pre-atomic writer): bad lines are skipped, not
-fatal, because dropping a checkpoint only costs re-computing one cell.
-Each skip is *loud* — logged as a warning and recorded as a
+Every flush rewrites the whole file through
+:func:`repro.ioutil.atomic_write`, so a run SIGKILLed mid-write leaves
+either the previous journal or the new one, never a torn line; a
+journal holds one line per grid cell, so the rewrite costs
+microseconds. Loading (:func:`repro.ioutil.read_records`) still drops a
+damaged line (a hand edit, a copy taken mid-write), because that only
+costs re-computing one cell, and records each drop as a
 :class:`~repro.faults.recovery.DegradationEvent` in
-:attr:`CheckpointJournal.load_events` — so a journal that silently
-shrank is distinguishable from one that was simply never written.
+:attr:`CheckpointJournal.load_events`, so a journal that shrank is told
+apart from one never written. A non-empty file whose first line is not
+the version-1 journal header raises :class:`~repro.ioutil.RecordFileError`
+and is left untouched: the first checkpoint would otherwise destroy it.
 """
 
 from __future__ import annotations
 
 import base64
-import json
 import pickle
 from pathlib import Path
 
 from repro.faults.recovery import DegradationEvent
-from repro.ioutil import atomic_write
+from repro.ioutil import atomic_write, dump_records, read_records
 from repro.logutil import get_logger
 
 __all__ = ["CheckpointJournal", "JOURNAL_FORMAT", "JOURNAL_VERSION"]
@@ -68,30 +64,16 @@ class CheckpointJournal:
         _LOG.warning("checkpoint journal %s: %s", self.path, event.describe())
 
     def _load(self) -> None:
+        records = read_records(
+            self.path, JOURNAL_FORMAT, JOURNAL_VERSION,
+            on_bad_line=lambda number, reason: self._skip(f"line {number}: {reason}"),
+        )
         try:
-            raw = self.path.read_bytes()
+            next(records, None)  # the header
         except OSError as error:
             self._skip(f"unreadable ({error}); starting empty")
             return
-        # Undecodable byte sequences become replacement characters and
-        # fail the per-line JSON check instead of aborting the load.
-        text = raw.decode("utf-8", errors="replace")
-        for number, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # Torn/corrupt line (truncated tail of a non-atomic copy,
-                # hand edit): skip it, re-compute that cell.
-                self._skip(f"line {number}: not valid JSON (truncated?)")
-                continue
-            if not isinstance(record, dict):
-                self._skip(f"line {number}: not an object")
-                continue
-            if record.get("format") == JOURNAL_FORMAT:
-                continue  # header line
+        for number, record in records:
             fingerprint = record.get("fingerprint")
             if isinstance(fingerprint, str) and "result" in record:
                 self._records[fingerprint] = record
@@ -132,11 +114,5 @@ class CheckpointJournal:
         self._flush()
 
     def _flush(self) -> None:
-        header = json.dumps(
-            {"format": JOURNAL_FORMAT, "version": JOURNAL_VERSION}, sort_keys=True
-        )
-        lines = [header]
-        lines += [
-            json.dumps(record, sort_keys=True) for record in self._records.values()
-        ]
-        atomic_write(self.path, "\n".join(lines) + "\n")
+        header = {"format": JOURNAL_FORMAT, "version": JOURNAL_VERSION}
+        atomic_write(self.path, dump_records(header, self._records.values()))

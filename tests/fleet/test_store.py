@@ -12,6 +12,7 @@ from repro.fleet.store import (
     system_from_facts,
     system_to_facts,
 )
+from repro.ioutil import RecordFileError
 from repro.machine.sysinfo import SystemInfo
 from repro.service.translation import mapping_fingerprint
 
@@ -131,12 +132,13 @@ class TestSelfHealingLoad:
         assert len(loaded) == 0
         assert any("revalidation" in event.detail for event in loaded.events)
 
-    def test_foreign_format_cold_starts(self, tmp_path):
+    def test_foreign_format_is_refused_and_untouched(self, tmp_path):
         path = tmp_path / "store.jsonl"
         path.write_text(json.dumps({"format": "other-tool", "version": 9}) + "\n")
-        loaded = KnowledgeStore(path)
-        assert len(loaded) == 0
-        assert any(event.action == "foreign-format" for event in loaded.events)
+        before = path.read_bytes()
+        with pytest.raises(RecordFileError, match="not a dramdig-knowledge-store"):
+            KnowledgeStore(path)
+        assert path.read_bytes() == before
 
     def test_header_format_constant(self, tmp_path, mapping, system):
         path = tmp_path / "store.jsonl"

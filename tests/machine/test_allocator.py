@@ -180,6 +180,30 @@ class TestPhysPages:
         assert pages.has_range(0, GIB)
         assert not pages.has_pages(np.array([GIB, 2**63], dtype=np.uint64)).any()
 
+    def test_equal_runs_compare_equal_in_any_order(self):
+        pages = PhysPages(starts=[40, 10, 20], ends=[41, 15, 30], total_bytes=GIB)
+        same = PhysPages(starts=[20, 40, 10, 12], ends=[30, 41, 13, 15], total_bytes=GIB)
+        assert pages == same
+        assert not pages != same
+        assert pages == PhysPages.from_frames(pages.page_numbers, total_bytes=GIB)
+
+    def test_different_runs_or_memory_compare_unequal(self):
+        pages = PhysPages(starts=[10, 20], ends=[15, 30], total_bytes=GIB)
+        assert pages != PhysPages(starts=[10, 20], ends=[15, 31], total_bytes=GIB)
+        assert pages != PhysPages(starts=[10], ends=[15], total_bytes=GIB)
+        assert pages != PhysPages(starts=[10, 20], ends=[15, 30], total_bytes=2 * GIB)
+
+    def test_other_types_compare_unequal(self):
+        pages = PhysPages(starts=[10, 20], ends=[15, 30], total_bytes=GIB)
+        assert pages != "pages"
+        assert not pages == None  # noqa: E711 - the operand under test
+        assert pages.__eq__(pages.page_numbers) is NotImplemented
+
+    def test_page_sets_are_unhashable(self):
+        pages = PhysPages(starts=[10, 20], ends=[15, 30], total_bytes=GIB)
+        with pytest.raises(TypeError, match="unhashable type: 'PhysPages'"):
+            hash(pages)
+
 
 _FRAME_LIMIT = 2048
 _TOTAL = _FRAME_LIMIT * PAGE_SIZE

@@ -79,6 +79,11 @@ class TestTranslation:
         unmapped_frame = int(pages.page_numbers[-1]) + 10_000
         assert buffer.reverse_translate(unmapped_frame << 12) is None
 
+    @pytest.mark.parametrize("physical", [-PAGE_SIZE, 2**80])
+    def test_reverse_translate_outside_memory_is_none(self, buffer_and_pages, physical):
+        _, _, buffer = buffer_and_pages
+        assert buffer.reverse_translate(physical) is None
+
     @given(st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=30, deadline=None)
     def test_translate_is_injective(self, offset):

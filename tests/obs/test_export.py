@@ -87,6 +87,19 @@ class TestStrictLoading:
         with pytest.raises(ValueError, match=":2:"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "span", [{"type": "span"}, {"type": "span", "id": 1, "attrs": [1]},
+                 {"type": "span", "id": "one"}],
+    )
+    def test_malformed_span_names_the_line(self, tmp_path, span):
+        path = tmp_path / "damaged.jsonl"
+        path.write_text(
+            json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION})
+            + "\n" + json.dumps(span) + "\n"
+        )
+        with pytest.raises(ValueError, match=":2: not a span"):
+            load_trace(path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_trace(tmp_path / "absent.jsonl")

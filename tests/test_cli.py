@@ -600,6 +600,42 @@ class TestObsCli:
         assert "regression:" in capsys.readouterr().out
         assert main(["obs", "history", str(history), "--check"]) == 1
 
+    def test_trace_commands_refuse_a_non_object_line(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        self._write_trace(trace, 3e9)
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines[:2] + ["[1, 2]"] + lines[2:]) + "\n")
+        for argv in (["trace", "summary"], ["obs", "critical-path"]):
+            assert main([*argv, str(trace)]) == 1
+            assert f"cannot read trace {trace}: {trace}:3: not an object" in (
+                capsys.readouterr().err
+            )
+
+    def test_obs_history_drops_a_garbled_line(self, tmp_path, capsys):
+        from repro.obs.history import record_run
+
+        history = tmp_path / "history.jsonl"
+        record_run(history, "table1", wall_s=1.0)
+        with open(history, "ab") as stream:
+            stream.write(b"\xff\n")
+        record_run(history, "figure2", wall_s=2.0)
+        assert main(["obs", "history", str(history)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:3]
+        assert [row.split()[2:] for row in rows] == [
+            ["table1", "1.000", "-"], ["figure2", "2.000", "-"],
+        ]
+
+    def test_resume_refuses_a_trace_and_leaves_it_untouched(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        self._write_trace(trace, 3e9)
+        before = trace.read_bytes()
+        history = tmp_path / "history.jsonl"
+        assert main(["--history", str(history), "table1", "--resume", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert f"refusing {trace}: not a dramdig-grid-journal file" in err
+        assert trace.read_bytes() == before
+        assert not history.exists()
+
     def test_trace_summary_strict_flags_open_spans(self, tmp_path, capsys):
         import json
 
