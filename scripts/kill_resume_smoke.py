@@ -7,15 +7,15 @@ The test suite checks resume by truncating a journal
 ``SIGKILL`` against the ``dramdig`` CLI instead, running one flow over
 every entry of :data:`WORKLOADS`:
 
-1. *reference*: run uninterrupted, without a journal, with ``--trace``,
-   ``--history H`` and ``--telemetry R`` (its own stream);
+1. *reference*: run uninterrupted, without a journal, with ``--trace``
+   and ``--telemetry R`` (its own stream);
 2. *victim*: run with ``--resume J``, ``--telemetry S`` and ``--trace``
    (plus ``--knowledge-store K`` where the workload takes one) and with
    ``TMPDIR`` set to a fresh ``victim-tmp`` directory, and kill -9 it
    once ``J`` holds more records than the workload's baseline (the kill
    means its trace is never written);
 3. *resumed*: run again over the same ``J``, ``S`` and ``K``, with
-   ``--trace`` and ``--history H``;
+   ``--trace``;
 4. *replay*: run a fourth time over the completed ``J`` and ``K``, with
    ``--trace``;
 5. *refused*: run with ``--resume`` pointed at the reference trace, and
@@ -36,7 +36,6 @@ Gates, on every workload:
 * nothing ran twice: the resumed trace shows exactly as many ``CACHED``
   cells as there were survivors (cell records in ``J`` at the kill);
 * ``dramdig obs diff`` finds no regression from reference to resumed;
-* ``dramdig obs history H --check`` passes;
 * the replay trace's metric counters are exactly
   ``{"grid.cells_resumed": N}``, N being the cell records in ``J``;
 * the unflagged reference run streams progress: ``R`` holds exactly N
@@ -54,7 +53,7 @@ even after one fails; the script prints one verdict line per workload
 and exits 1 if any gate failed.
 
 ``--artifacts DIR`` keeps each workload's journal, store, stream,
-history, traces, outputs, summaries and diff in ``DIR/<workload>``
+traces, outputs, summaries and diff in ``DIR/<workload>``
 instead of a throwaway directory, so CI can upload them.
 """
 
@@ -142,11 +141,9 @@ def dramdig(*argv: str) -> subprocess.CompletedProcess:
 
 
 def command(work: Workload, root: Path, role: str, journal: bool = False,
-            telemetry: str | None = None, history: bool = False,
-            trace: bool = False) -> list[str]:
+            telemetry: str | None = None, trace: bool = False) -> list[str]:
     """One run's argv; global flags go before the subcommand."""
     argv = ["--telemetry", str(root / telemetry)] if telemetry else []
-    argv += ["--history", str(root / "history.jsonl")] if history else []
     argv += work.argv
     argv += ["--out", str(root / f"{role}.out")] if work.out else []
     if journal:
@@ -217,7 +214,7 @@ def run_workload(work: Workload, root: Path) -> tuple[list[str], str]:
     journal, stream = root / "journal.jsonl", root / "telemetry.jsonl"
     reference = complete("reference", command(
         work, root, "reference", telemetry="reference-telemetry.jsonl",
-        history=True, trace=True))
+        trace=True))
 
     victim_tmp = root / "victim-tmp"
     victim_tmp.mkdir()
@@ -243,7 +240,7 @@ def run_workload(work: Workload, root: Path) -> tuple[list[str], str]:
     outputs = {
         "resumed": complete("resumed", command(
             work, root, "resumed", journal=True, telemetry=stream.name,
-            history=True, trace=True)),
+            trace=True)),
         "replay": complete("replay", command(
             work, root, "replay", journal=True, trace=True)),
     }
@@ -280,8 +277,6 @@ def run_workload(work: Workload, root: Path) -> tuple[list[str], str]:
     (root / "resumed-vs-reference-diff.txt").write_text(diff.stdout + diff.stderr)
     gate(diff.returncode == 0, "obs diff found a regression from the "
                                "reference to the resumed trace")
-    check = dramdig("obs", "history", str(root / "history.jsonl"), "--check")
-    gate(check.returncode == 0, "obs history --check flagged a regression")
 
     metrics = [record for record in read_jsonl(root / "replay-trace.jsonl")[0]
                if record.get("type") == "metrics"]

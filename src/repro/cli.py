@@ -15,7 +15,7 @@ Subcommands mirror the paper:
 * ``dramdig campaign leaderboard ART.json`` — render a saved campaign.
 * ``dramdig obs tail RUN.stream`` — render a live telemetry stream.
 * ``dramdig obs diff A.jsonl B.jsonl`` — attribute a slowdown to a span
-  subtree, ``critical-path`` the heaviest chain, ``history`` the run log.
+  subtree, ``critical-path`` the heaviest chain.
 * ``dramdig list``            — show the machine presets.
 """
 
@@ -35,6 +35,7 @@ from repro.dram.belief import BeliefMapping
 from repro.dram.errors import ReproError
 from repro.dram.explain import explain_mapping
 from repro.dram.presets import TABLE2_ORDER, preset
+from repro.dram.random_mapping import MIN_GIB
 from repro.dram.serialization import save_mapping
 from repro.evalsuite import (
     render_figure2,
@@ -49,7 +50,6 @@ from repro.evalsuite import (
 from repro.faults import FaultInjector, get_profile, profile_names
 from repro.ioutil import RecordFileError, parse_record
 from repro.logutil import get_logger, setup_logging
-from repro.obs.history import DEFAULT_HISTORY_PATH
 from repro.machine.machine import SimulatedMachine
 from repro.parallel import CellFailure, GridPolicy
 from repro.rowhammer.assess import assess_vulnerability
@@ -124,6 +124,11 @@ _vulnerability_arg = _checked(
     float, lambda density: not 0.0 <= density <= 1.0,
     "--vulnerability must be within [0, 1] (got {text})",
 )
+# No random geometry is smaller than MIN_GIB, so a lower cap admits none.
+_max_gib_arg = _checked(
+    int, lambda gib: gib != 0 and gib < MIN_GIB,
+    f"--max-gib must be 0 (uncapped) or at least {MIN_GIB} (got {{value}})",
+)
 
 
 def _grid_options(args):
@@ -161,16 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append live progress events (grid cells, fleet waves, "
         "campaign trials, pipeline phases) to this JSONL stream while "
         "the command runs; watch it with 'dramdig obs tail --follow PATH'",
-    )
-    parser.add_argument(
-        "--history",
-        metavar="PATH",
-        nargs="?",
-        const=str(DEFAULT_HISTORY_PATH),
-        default=None,
-        help="append this run's wall/simulated totals and metric snapshot "
-        f"to a run-history file (default {DEFAULT_HISTORY_PATH}); "
-        "inspect with 'dramdig obs history'",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -322,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "table3", help="regenerate Table III (rowhammer flips)"
     )
     table3_cmd.add_argument(
-        "--tests", type=int, default=5, help="tests per machine (default 5)"
+        "--tests", type=_tests_arg, default=5, help="tests per machine (default 5)"
     )
 
     from repro.rowhammer.campaign import (
@@ -469,8 +464,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "imposter (default 3)",
     )
     fleet_run_cmd.add_argument(
-        "--max-gib", type=int, default=8, metavar="G",
-        help="cap family geometries at G GiB (default 8; 0 = uncapped)",
+        "--max-gib", type=_max_gib_arg, default=8, metavar="G",
+        help=f"cap family geometries at G GiB (default 8; 0 = uncapped; "
+        f"otherwise at least {MIN_GIB})",
     )
     fleet_run_cmd.add_argument(
         "--knowledge-store", metavar="PATH", default=None,
@@ -583,32 +579,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_critical_cmd.add_argument(
         "--limit", type=int, default=0, metavar="N",
         help="steps shown from the root (default: the whole chain)",
-    )
-    obs_history_cmd = obs_sub.add_parser(
-        "history",
-        help="render the run history and flag regressions",
-        description="Render the trailing entries of a run-history file "
-        "written with --history and compare each command's newest run "
-        "against its trailing window (simulated clock at 5%%, wall "
-        "clock at 100%%).",
-    )
-    obs_history_cmd.add_argument(
-        "path", metavar="HISTORY", nargs="?",
-        default=str(DEFAULT_HISTORY_PATH),
-        help=f"history file (default {DEFAULT_HISTORY_PATH})",
-    )
-    obs_history_cmd.add_argument(
-        "--window", type=int, default=5, metavar="N",
-        help="trailing runs each command's newest run is compared "
-        "against (default 5)",
-    )
-    obs_history_cmd.add_argument(
-        "--limit", type=int, default=20, metavar="N",
-        help="history rows rendered (default 20; 0 = all)",
-    )
-    obs_history_cmd.add_argument(
-        "--check", action="store_true",
-        help="exit 1 when any command's newest run regresses",
     )
     return parser
 
@@ -971,18 +941,6 @@ def _command_obs(args) -> int:
             return 1
         print(render_critical_path(trace, limit=args.limit))
         return 0
-    if args.obs_command == "history":
-        from repro.obs.history import (
-            detect_regressions,
-            load_history,
-            render_history,
-        )
-
-        entries = load_history(args.path)
-        print(render_history(entries, window=args.window, limit=args.limit))
-        if args.check and detect_regressions(entries, window=args.window):
-            return 1
-        return 0
     raise AssertionError(
         f"unhandled obs command {args.obs_command}"
     )  # pragma: no cover
@@ -1061,17 +1019,17 @@ def _dispatch_command(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 
-def _execute(args) -> tuple[int, object]:
+def _execute(args) -> int:
     """Dispatch the command, under a tracer when ``--trace`` was given.
 
-    Returns ``(exit code, tracer-or-None)``. The trace export sits in a
-    ``finally`` so an interrupted run still salvages a partial trace:
-    its in-flight spans come out with status ``open`` and ``dramdig
-    trace summary`` renders them as ``UNCLOSED`` partial accounting.
+    The trace export sits in a ``finally`` so an interrupted run still
+    salvages a partial trace: its in-flight spans come out with status
+    ``open`` and ``dramdig trace summary`` renders them as ``UNCLOSED``
+    partial accounting.
     """
     trace_path = getattr(args, "trace", None)
     if not trace_path:
-        return _dispatch_command(args), None
+        return _dispatch_command(args)
 
     from repro.obs import tracing as obs
     from repro.obs.export import export_trace
@@ -1079,43 +1037,12 @@ def _execute(args) -> tuple[int, object]:
     tracer = obs.Tracer()
     try:
         with obs.activate(tracer):
-            code = _dispatch_command(args)
+            return _dispatch_command(args)
     finally:
         export_trace(
             trace_path, tracer, meta={"command": args.command, "seed": args.seed}
         )
         _LOG.info("trace written to %s", trace_path)
-    return code, tracer
-
-
-def _record_history(args, code: int, wall_s: float, tracer) -> None:
-    """Append one run record to the ``--history`` file.
-
-    The simulated total and the metric snapshot come from the tracer, so
-    they are present only when the run was also traced; an untraced run
-    records wall seconds alone (and regression detection falls back to
-    the wide wall-clock threshold).
-    """
-    from repro.obs.history import record_run
-
-    sim_ns = None
-    metrics = None
-    if tracer is not None:
-        from repro.obs.analytics import total_sim_ns
-        from repro.obs.export import TraceFile
-
-        total = total_sim_ns(TraceFile(spans=list(tracer.spans)))
-        sim_ns = total if total > 0 else None
-        metrics = tracer.metrics.snapshot()
-    record_run(
-        args.history,
-        command=args.command,
-        wall_s=wall_s,
-        sim_ns=sim_ns,
-        metrics=metrics,
-        extra={"seed": args.seed, "code": code},
-    )
-    _LOG.info("history entry appended to %s", args.history)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1140,7 +1067,7 @@ def main(argv: list[str] | None = None) -> int:
             bus = telemetry.TelemetryBus(args.telemetry, source="main")
             with telemetry.activate_bus(bus):
                 telemetry.emit("run-start", command=args.command, seed=args.seed)
-                code, tracer = _execute(args)
+                code = _execute(args)
                 telemetry.emit(
                     "run-end",
                     command=args.command,
@@ -1148,12 +1075,10 @@ def main(argv: list[str] | None = None) -> int:
                     wall_s=round(time.perf_counter() - started, 6),
                 )
         else:
-            code, tracer = _execute(args)
+            code = _execute(args)
     except RecordFileError as error:
         _LOG.error("refusing %s", error)
         return 2
-    if args.history is not None:
-        _record_history(args, code, time.perf_counter() - started, tracer)
     return code
 
 

@@ -28,9 +28,11 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.mapping import AddressMapping
 from repro.dram.spec import DdrGeneration
 
-__all__ = ["random_geometry", "random_mapping", "naive_mapping"]
+__all__ = ["MIN_GIB", "random_geometry", "random_mapping", "naive_mapping"]
 
 GIB = 2**30
+# The smallest memory random_geometry draws.
+MIN_GIB = 4
 
 
 def random_geometry(rng: np.random.Generator) -> DramGeometry:
@@ -41,8 +43,8 @@ def random_geometry(rng: np.random.Generator) -> DramGeometry:
     banks = 8 if generation is DdrGeneration.DDR3 else int(rng.choice([8, 16]))
     # Keep total banks <= 64 and memory plausible for the bank count.
     total_banks = channels * ranks * banks
-    min_gib = max(4, total_banks // 4)
-    gib = int(rng.choice([g for g in (4, 8, 16, 32) if g >= min_gib]))
+    min_gib = max(MIN_GIB, total_banks // 4)
+    gib = int(rng.choice([g for g in (MIN_GIB, 8, 16, 32) if g >= min_gib]))
     return DramGeometry(
         generation=generation,
         total_bytes=gib * GIB,

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.dram.mapping import AddressMapping
-from repro.dram.random_mapping import random_geometry, random_mapping
+from repro.dram.random_mapping import MIN_GIB, random_geometry, random_mapping
 
 __all__ = [
     "MachineSpec",
@@ -124,10 +124,14 @@ def _family_seeds(seed: int, families: int, max_gib: int | None) -> list[int]:
     ``max_gib`` exists so tests and the CLI can keep fleets on small
     geometries (a 32 GiB machine costs real wall-clock in the allocator
     and the search) without losing determinism: candidates are scanned
-    in a fixed order and filtered, never sampled.
+    in a fixed order and filtered, never sampled. A cap below
+    :data:`~repro.dram.random_mapping.MIN_GIB` admits no geometry, so
+    it is refused rather than scanned forever.
     """
     if families < 1:
         raise ValueError("families must be positive")
+    if max_gib is not None and max_gib < MIN_GIB:
+        raise ValueError(f"max_gib must be at least {MIN_GIB} (got {max_gib})")
     seeds: list[int] = []
     candidate = 0
     while len(seeds) < families:

@@ -36,7 +36,6 @@ __all__ = [
     "render_critical_path",
     "render_diff",
     "span_weight_index",
-    "total_sim_ns",
 ]
 
 
@@ -77,7 +76,7 @@ def span_weight_index(
     return weights
 
 
-def total_sim_ns(trace: TraceFile, excluded: Collection[str] = ()) -> float:
+def _total_sim_ns(trace: TraceFile, excluded: Collection[str]) -> float:
     """Total simulated time: the root spans' weights summed.
 
     A span with its own sim bounds contributes its duration; a span
@@ -258,8 +257,8 @@ def diff_traces(
 
     return TraceDiff(
         rows=rows,
-        base_total_ns=total_sim_ns(base, excluded),
-        other_total_ns=total_sim_ns(other, excluded),
+        base_total_ns=_total_sim_ns(base, excluded),
+        other_total_ns=_total_sim_ns(other, excluded),
         excluded_paths=sorted(excluded),
         tolerance=tolerance,
     )

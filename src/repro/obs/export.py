@@ -96,7 +96,8 @@ def load_trace(path: str | Path) -> TraceFile:
     Raises:
         ValueError: when the file is empty, is not a dramdig trace,
             declares an unsupported version, or holds a line that is not
-            a JSON object or a span (the message names ``path:line``).
+            a JSON object, a span or a metrics record (the message names
+            ``path:line``).
     """
 
     def refuse(number: int, reason: str) -> None:
@@ -115,9 +116,14 @@ def load_trace(path: str | Path) -> TraceFile:
             except (KeyError, TypeError, ValueError) as error:
                 refuse(number, f"not a span ({error!r})")
         elif kind == "metrics":
-            trace.metrics = {
-                "counters": record.get("counters", {}),
-                "histograms": record.get("histograms", {}),
-            }
+            counters = record.get("counters", {})
+            histograms = record.get("histograms", {})
+            if not isinstance(counters, dict):
+                refuse(number, "metrics counters are not an object")
+            if not isinstance(histograms, dict) or not all(
+                isinstance(stats, dict) for stats in histograms.values()
+            ):
+                refuse(number, "metrics histograms are not an object of objects")
+            trace.metrics = {"counters": counters, "histograms": histograms}
     trace.spans.sort(key=lambda span: span.span_id)
     return trace

@@ -181,10 +181,20 @@ def canonical_events(events: list[dict], fold_cached: bool = False) -> list[dict
     return canonical
 
 
+def _clock(wall) -> str:
+    """``HH:MM:SS`` of an event's wall stamp, or ``?`` when it is not one."""
+    if isinstance(wall, (int, float)):
+        try:
+            return time.strftime("%H:%M:%S", time.localtime(wall))
+        except (OverflowError, OSError, ValueError):  # beyond time_t, or NaN
+            pass
+    return "?"
+
+
 def render_event(event: dict) -> str:
     """One human-readable line for ``dramdig obs tail``."""
     kind = event.get("kind", "?")
-    clock = time.strftime("%H:%M:%S", time.localtime(event.get("wall", 0)))
+    clock = _clock(event.get("wall"))
     source = event.get("source", "?")
     if kind == "cell":
         done = event.get("done")

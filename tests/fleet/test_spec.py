@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dram.random_mapping import MIN_GIB
 from repro.fleet.spec import (
     MachineSpec,
     adversarial_fleet,
@@ -35,6 +36,11 @@ class TestFamilies:
     def test_max_gib_caps_geometry(self):
         for spec in lookalike_fleet(4, families=4, seed=0, max_gib=8):
             assert materialize_mapping(spec).geometry.total_bytes <= 8 * GIB
+
+    @pytest.mark.parametrize("max_gib", [MIN_GIB - 1, 0, -1])
+    def test_max_gib_below_every_geometry_is_refused(self, max_gib):
+        with pytest.raises(ValueError, match=f"max_gib must be at least {MIN_GIB}"):
+            lookalike_fleet(2, families=2, seed=0, max_gib=max_gib)
 
 
 class TestLookalikeFleet:

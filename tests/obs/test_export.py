@@ -100,6 +100,20 @@ class TestStrictLoading:
         with pytest.raises(ValueError, match=":2: not a span"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "metrics", [{"type": "metrics", "counters": [1, 2]},
+                    {"type": "metrics", "histograms": [1]},
+                    {"type": "metrics", "histograms": {"probe.ns": 5}}],
+    )
+    def test_malformed_metrics_names_the_line(self, tmp_path, metrics):
+        path = tmp_path / "damaged.jsonl"
+        path.write_text(
+            json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION})
+            + "\n" + json.dumps(metrics) + "\n"
+        )
+        with pytest.raises(ValueError, match=":2: metrics .* not an object"):
+            load_trace(path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_trace(tmp_path / "absent.jsonl")

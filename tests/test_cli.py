@@ -101,6 +101,22 @@ def test_grid_retries_rejects_negative(capsys):
     assert "--grid-retries must be non-negative" in capsys.readouterr().err
 
 
+def test_max_gib_rejects_a_cap_below_every_geometry(monkeypatch, capsys):
+    """No random geometry is smaller than 4 GiB, so a lower cap would
+    scan family seeds forever; 0 means uncapped."""
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "_command_fleet", lambda args: 0)
+    for bad in ("3", "1", "-1"):
+        with pytest.raises(SystemExit):
+            main(["fleet", "run", "--max-gib", bad])
+        assert "--max-gib must be 0 (uncapped) or at least 4" in (
+            capsys.readouterr().err
+        )
+    for good in ("0", "4"):
+        assert main(["fleet", "run", "--max-gib", good]) == 0
+
+
 def test_grid_flags_build_supervision(monkeypatch, capsys):
     """The crash-safety flags reach run_table1 as a GridPolicy + journal."""
     import repro.cli as cli
@@ -364,10 +380,13 @@ class TestHammerValidation:
     exit with a usage error before any simulation starts."""
 
     def test_rejects_zero_and_negative_tests(self, capsys):
-        for bad in ("0", "-3"):
-            with pytest.raises(SystemExit):
-                main(["hammer", "No.4", "--tests", bad])
-        assert "--tests must be a positive integer" in capsys.readouterr().err
+        for command in (["hammer", "No.4"], ["table3"]):
+            for bad in ("0", "-3"):
+                with pytest.raises(SystemExit):
+                    main([*command, "--tests", bad])
+                assert "--tests must be a positive integer" in (
+                    capsys.readouterr().err
+                )
 
     def test_rejects_non_positive_minutes(self, capsys):
         for bad in ("0", "-5", "-0.5", "nan", "inf", "1e308"):
@@ -465,7 +484,7 @@ class TestCampaignCli:
 
 
 class TestObsCli:
-    """The --telemetry/--history plumbing and the obs subcommand group."""
+    """The --telemetry plumbing and the obs subcommand group."""
 
     @staticmethod
     def _write_trace(path, partition_ns):
@@ -507,6 +526,18 @@ class TestObsCli:
         assert main(["run", "No.4"]) == 0
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("wall", ['"x"', "1e300", "NaN"])
+    def test_tail_renders_an_unusable_wall_as_unknown(self, tmp_path, capsys, wall):
+        stream = tmp_path / "run.stream"
+        stream.write_text(
+            f'{{"kind": "cell", "wall": {wall}}}\n'
+            f'{{"kind": "run-end", "wall": {wall}, "code": 0}}\n'
+        )
+        assert main(["obs", "tail", str(stream)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("? [?] ") for line in lines)
 
     def test_tail_rejects_missing_stream(self, tmp_path, capsys):
         assert main(["obs", "tail", str(tmp_path / "absent.stream")]) == 1
@@ -560,46 +591,6 @@ class TestObsCli:
         assert main(["obs", "critical-path", str(trace), "--limit", "1"]) == 0
         assert "partition" not in capsys.readouterr().out
 
-    def test_history_recording_and_rendering(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        trace = tmp_path / "run.jsonl"
-        assert main([
-            "--history", str(history), "run", "No.4", "--trace", str(trace),
-        ]) == 0
-        assert main(["--history", str(history), "run", "No.4"]) == 0
-        capsys.readouterr()
-
-        from repro.obs.history import load_history
-
-        entries = load_history(history)
-        assert len(entries) == 2
-        assert entries[0]["command"] == "run"
-        assert entries[0]["sim_ns"] is not None  # traced run has sim totals
-        assert entries[0]["metrics"]["counters"]
-        assert entries[1]["sim_ns"] is None  # untraced run: wall only
-
-        assert main(["obs", "history", str(history), "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "run" in out
-        assert "no regressions" in out
-
-    def test_obs_history_check_flags_regressions(self, tmp_path, capsys):
-        import json
-
-        history = tmp_path / "history.jsonl"
-        entries = [
-            {"format": "dramdig-history", "version": 1, "wall": 0.0,
-             "command": "table1", "wall_s": 1.0, "sim_ns": 1e9},
-            {"format": "dramdig-history", "version": 1, "wall": 0.0,
-             "command": "table1", "wall_s": 1.0, "sim_ns": 2e9},
-        ]
-        history.write_text(
-            "\n".join(json.dumps(entry) for entry in entries) + "\n"
-        )
-        assert main(["obs", "history", str(history)]) == 0
-        assert "regression:" in capsys.readouterr().out
-        assert main(["obs", "history", str(history), "--check"]) == 1
-
     def test_trace_commands_refuse_a_non_object_line(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         self._write_trace(trace, 3e9)
@@ -611,30 +602,23 @@ class TestObsCli:
                 capsys.readouterr().err
             )
 
-    def test_obs_history_drops_a_garbled_line(self, tmp_path, capsys):
-        from repro.obs.history import record_run
-
-        history = tmp_path / "history.jsonl"
-        record_run(history, "table1", wall_s=1.0)
-        with open(history, "ab") as stream:
-            stream.write(b"\xff\n")
-        record_run(history, "figure2", wall_s=2.0)
-        assert main(["obs", "history", str(history)]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:3]
-        assert [row.split()[2:] for row in rows] == [
-            ["table1", "1.000", "-"], ["figure2", "2.000", "-"],
-        ]
-
     def test_resume_refuses_a_trace_and_leaves_it_untouched(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         self._write_trace(trace, 3e9)
         before = trace.read_bytes()
-        history = tmp_path / "history.jsonl"
-        assert main(["--history", str(history), "table1", "--resume", str(trace)]) == 2
+        assert main(["table1", "--resume", str(trace)]) == 2
         err = capsys.readouterr().err
         assert f"refusing {trace}: not a dramdig-grid-journal file" in err
         assert trace.read_bytes() == before
-        assert not history.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--history", "h.jsonl", "run", "No.4"], ["obs", "history"]]
+    )
+    def test_the_run_history_ledger_is_gone(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as error:
+            main(argv)
+        assert error.value.code == 2
 
     def test_trace_summary_strict_flags_open_spans(self, tmp_path, capsys):
         import json

@@ -12,7 +12,7 @@ from repro.fleet.spec import family_mapping
 from repro.fleet.store import KnowledgeStore
 from repro.ioutil import RecordFileError, dump_records, parse_record, read_records
 from repro.machine.sysinfo import SystemInfo
-from repro.obs import history, telemetry
+from repro.obs import telemetry
 from repro.obs import tracing as obs
 from repro.obs.export import export_trace, load_trace
 from repro.parallel.journal import CheckpointJournal
@@ -93,7 +93,7 @@ class TestReadRecords:
             next(read_records(tmp_path / "absent.jsonl"))
 
 
-# --------------------------------------------------------- the five loaders
+# --------------------------------------------------------- the four loaders
 
 
 @dataclass(frozen=True)
@@ -150,19 +150,12 @@ def _write_stream(path):
     bus.emit("run-end", code=0)
 
 
-def _write_history(path):
-    history.record_run(path, "table1", wall_s=1.0)
-    history.record_run(path, "table1", wall_s=1.1)
-
-
 LOADERS = [
     Loader("journal", _write_journal, _load_journal, "events"),
     Loader("store", _write_store, _load_store, "events"),
     Loader("trace", _write_trace, _load_trace, "raise"),
     Loader("telemetry", _write_stream,
            lambda path: (len(telemetry.load_events(path)), []), "lenient"),
-    Loader("history", _write_history,
-           lambda path: (len(history.load_history(path)), []), "lenient"),
 ]
 
 # name -> (damage lines, whether they go last with no newline)
@@ -226,7 +219,7 @@ WRITERS.update({
 
 
 @pytest.mark.parametrize(
-    "kind", ["history", "trace", "store", "telemetry", "journal-v99", "text"]
+    "kind", ["trace", "store", "telemetry", "journal-v99", "text"]
 )
 def test_journal_refuses_a_file_not_its_own(tmp_path, kind):
     path = tmp_path / f"{kind}.jsonl"
@@ -238,7 +231,7 @@ def test_journal_refuses_a_file_not_its_own(tmp_path, kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["journal", "history", "trace", "telemetry", "store-v99", "text"]
+    "kind", ["journal", "trace", "telemetry", "store-v99", "text"]
 )
 def test_store_refuses_a_file_not_its_own(tmp_path, kind):
     path = tmp_path / f"{kind}.jsonl"
