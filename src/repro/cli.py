@@ -131,6 +131,14 @@ _max_gib_arg = _checked(
 )
 
 
+def _at_least(option: str, floor: int):
+    """An integer ``type=`` for ``option`` that refuses values below ``floor``."""
+    return _checked(
+        int, lambda value: value < floor,
+        f"{option} must be at least {floor} (got {{value}})",
+    )
+
+
 def _grid_options(args):
     """Fold the crash-safety flags into (supervision, journal)."""
     supervision = GridPolicy(
@@ -445,11 +453,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "machine learned into a persistent cross-machine knowledge store.",
     )
     fleet_run_cmd.add_argument(
-        "--fleet-size", type=int, default=8, metavar="N",
+        "--fleet-size", type=_at_least("--fleet-size", 1), default=8, metavar="N",
         help="machines in the fleet (default 8)",
     )
     fleet_run_cmd.add_argument(
-        "--families", type=int, default=2, metavar="N",
+        "--families", type=_at_least("--families", 1), default=2, metavar="N",
         help="distinct ground-truth mapping families (default 2)",
     )
     fleet_run_cmd.add_argument(
@@ -459,7 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "SystemInfo but wire a different mapping)",
     )
     fleet_run_cmd.add_argument(
-        "--mismatch-every", type=int, default=3, metavar="K",
+        "--mismatch-every", type=_at_least("--mismatch-every", 2), default=3,
+        metavar="K",
         help="adversarial profile: every K-th non-exemplar machine is an "
         "imposter (default 3)",
     )
@@ -484,16 +493,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes per dispatch wave (default: serial)",
     )
     fleet_run_cmd.add_argument(
-        "--wave", type=int, default=4, metavar="N",
+        "--wave", type=_at_least("--wave", 1), default=4, metavar="N",
         help="machines dispatched per wave after the exemplar wave "
         "(store updates land between waves; default 4)",
     )
     fleet_run_cmd.add_argument(
-        "--max-candidates", type=int, default=3, metavar="N",
+        "--max-candidates", type=_at_least("--max-candidates", 1), default=3,
+        metavar="N",
         help="store hypotheses offered to each machine (default 3)",
     )
     fleet_run_cmd.add_argument(
-        "--breaker-threshold", type=int, default=3, metavar="N",
+        "--breaker-threshold", type=_at_least("--breaker-threshold", 1), default=3,
+        metavar="N",
         help="consecutive confirmation failures that quarantine a "
         "hypothesis (default 3)",
     )

@@ -28,6 +28,7 @@ _STREAM_SALT = 0xFA017
 _PAGE_SIZE = 4096
 
 _U64 = np.uint64
+_MASK64 = (1 << 64) - 1
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
@@ -36,6 +37,14 @@ def _mix64(values: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
     return x ^ (x >> _U64(31))
+
+
+def _mix64_int(x: int) -> int:
+    """:func:`_mix64` on one Python int in [0, 2**64), products wrapped
+    to 64 bits as uint64 arithmetic wraps them."""
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 def _hash_uniform(keys: np.ndarray) -> np.ndarray:
@@ -135,15 +144,61 @@ class FaultInjector:
     def perturb_one(
         self, latency: float, is_conflict: bool, addr_a: int, addr_b: int, now_ns: float
     ) -> float:
-        """Scalar convenience wrapper over :meth:`perturb`."""
-        perturbed = self.perturb(
-            np.asarray([latency]),
-            np.asarray([is_conflict]),
-            np.asarray([addr_a], dtype=np.uint64),
-            np.asarray([addr_b], dtype=np.uint64),
-            now_ns,
-        )
-        return float(perturbed[0])
+        """:meth:`perturb` of one pair, in Python floats and ints.
+
+        The per-pair measurement loop calls this once per pair, where four
+        one-element arrays would cost more than the faults. It makes the
+        same RNG draws, float operations (in the same order) and tracer
+        increments as a one-element :meth:`perturb` call, so either may
+        stand in for the other; pinned by ``tests/faults/test_injector.py``.
+        """
+        profile = self.profile
+        latency = float(latency)
+        if profile.is_quiet:
+            return latency
+        now_s = now_ns / 1e9
+        tracer = obs._ACTIVE
+        rng = self._rng
+
+        drift = self._drift_ns(now_s)
+        if drift:
+            latency += drift
+            if tracer is not None:
+                tracer.metrics.inc("faults.drift_measurements", 1)
+
+        if profile.storm_outlier_probability and self._storm_active(now_s):
+            hit = rng.random() < profile.storm_outlier_probability
+            latency += hit * profile.storm_extra_ns * rng.random()
+            if tracer is not None:
+                tracer.metrics.inc("faults.storm_outliers", int(hit))
+
+        if profile.burst_start_probability:
+            # _burst_mask(1): a start covers this measurement and the next
+            # burst_length - 1; otherwise a carried burst runs down.
+            start = rng.random() < profile.burst_start_probability
+            affected = start or self._burst_remaining > 0
+            self._burst_remaining = (
+                profile.burst_length - 1 if start else max(0, self._burst_remaining - 1)
+            )
+            latency += affected * profile.burst_extra_ns * (0.5 + 0.5 * rng.random())
+            if tracer is not None:
+                tracer.metrics.inc("faults.burst_measurements", int(affected))
+
+        if profile.misread_probability:
+            # _misread_mask on one pair; a conflict pair never mis-reads.
+            flip = False
+            if not is_conflict:
+                window = int(now_ns // (profile.misread_window_s * 1e9))
+                key = _mix64_int(int(addr_a)) ^ _mix64_int(int(addr_b))
+                salt = _mix64_int(window ^ int(self._misread_seed))
+                uniform = (_mix64_int(key ^ salt) >> 11) * (1.0 / (1 << 53))
+                flip = uniform < profile.misread_probability
+            latency += flip * profile.misread_extra_ns
+            if tracer is not None:
+                tracer.metrics.inc("faults.misreads", int(flip))
+
+        # A NumPy scalar clock or profile field would leave a NumPy float.
+        return float(latency)
 
     # -------------------------------------------------------- fault internals
 

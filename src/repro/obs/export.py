@@ -96,8 +96,9 @@ def load_trace(path: str | Path) -> TraceFile:
     Raises:
         ValueError: when the file is empty, is not a dramdig trace,
             declares an unsupported version, or holds a line that is not
-            a JSON object, a span or a metrics record (the message names
-            ``path:line``).
+            a JSON object, a span or a metrics record, or a metrics record
+            whose counter, histogram count or total is not a number (the
+            message names ``path:line``).
     """
 
     def refuse(number: int, reason: str) -> None:
@@ -124,6 +125,15 @@ def load_trace(path: str | Path) -> TraceFile:
                 isinstance(stats, dict) for stats in histograms.values()
             ):
                 refuse(number, "metrics histograms are not an object of objects")
+            for name, value in counters.items():
+                if not isinstance(value, (int, float)):
+                    refuse(number, f"metrics counter {name!r} is not a number")
+            for name, stats in histograms.items():
+                for key in ("count", "total"):
+                    if not isinstance(stats.get(key, 0), (int, float)):
+                        refuse(
+                            number, f"metrics histogram {name!r} {key} is not a number"
+                        )
             trace.metrics = {"counters": counters, "histograms": histograms}
     trace.spans.sort(key=lambda span: span.span_id)
     return trace

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.faults import FaultInjector, FaultProfile, get_profile
+from repro.faults import FaultInjector, FaultProfile, get_profile, profile_names
+from repro.faults.injector import _mix64, _mix64_int
+from repro.obs import tracing
 
 NO_CONFLICT = np.zeros(64, dtype=bool)
 BASES = np.arange(64, dtype=np.uint64) * np.uint64(4096)
@@ -157,3 +161,114 @@ class TestAllocPressure:
         profile = FaultProfile(name="a", alloc_grant_fractions=(0.001,))
         injector = FaultInjector(profile, seed=0)
         assert injector.on_allocate(8192, 0) == 4096
+
+
+def _assert_scalar_step_matches_batch(profile, seed, steps):
+    """Feed ``steps`` to ``perturb_one`` and, on a twin injector, to
+    one-element ``perturb`` calls; after every step the value, the RNG
+    state, the burst carry and the traced counters must agree."""
+    scalar = FaultInjector(profile, seed=seed)
+    batch = FaultInjector(profile, seed=seed)
+    scalar_tracer, batch_tracer = tracing.Tracer(), tracing.Tracer()
+    for latency, is_conflict, addr_a, addr_b, now_ns in steps:
+        with tracing.activate(scalar_tracer):
+            got = scalar.perturb_one(latency, is_conflict, addr_a, addr_b, now_ns)
+        with tracing.activate(batch_tracer):
+            want = batch.perturb(
+                np.asarray([latency]),
+                np.asarray([is_conflict]),
+                np.asarray([addr_a], dtype=np.uint64),
+                np.asarray([addr_b], dtype=np.uint64),
+                now_ns,
+            )[0]
+        assert type(got) is float
+        assert got == want
+        assert scalar._rng.bit_generator.state == batch._rng.bit_generator.state
+        assert scalar._burst_remaining == batch._burst_remaining
+        assert scalar_tracer.metrics.counters == batch_tracer.metrics.counters
+
+
+@st.composite
+def _storm_and_burst_profiles(draw):
+    """Storms and bursts both on, which no registered profile combines, so
+    their draw order is pinned here; drift and mis-reads sometimes."""
+    duration = draw(st.floats(0.1, 2.0))
+    return FaultProfile(
+        name="mixed",
+        burst_start_probability=draw(st.floats(0.05, 1.0)),
+        burst_length=draw(st.integers(1, 6)),
+        burst_extra_ns=draw(st.floats(0.0, 200.0)),
+        drift_ns_per_s=draw(st.sampled_from([0.0, 2.5, 40.0])),
+        drift_start_s=draw(st.floats(0.0, 3.0)),
+        drift_period_s=draw(st.sampled_from([0.0, 1.0, 8.0])),
+        drift_cap_ns=draw(st.sampled_from([0.0, 10.0, 35.0])),
+        storm_outlier_probability=draw(st.floats(0.05, 1.0)),
+        storm_extra_ns=draw(st.floats(0.0, 400.0)),
+        storm_start_s=draw(st.floats(0.0, 2.0)),
+        storm_duration_s=duration,
+        storm_period_s=draw(st.sampled_from([0.0, duration, duration + 1.5])),
+        misread_probability=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+        misread_extra_ns=draw(st.floats(0.0, 60.0)),
+        misread_window_s=draw(st.floats(0.05, 2.0)),
+    )
+
+
+_EDGE_ADDRESSES = [0, 1, 2**63, 2**64 - 1]
+_addresses = st.one_of(st.sampled_from(_EDGE_ADDRESSES), st.integers(0, 2**64 - 1))
+# (latency, is_conflict, addr_a, addr_b, addresses as np.uint64, clock advance)
+_steps = st.lists(
+    st.tuples(
+        st.floats(20.0, 400.0),
+        st.booleans(),
+        _addresses,
+        _addresses,
+        st.booleans(),
+        st.floats(0.0, 0.5e9),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestScalarStep:
+    """``perturb_one`` is ``perturb`` of one pair, draw for draw."""
+
+    @pytest.mark.parametrize("value", _EDGE_ADDRESSES)
+    def test_mix64_int_matches_vector_hash(self, value):
+        vector = _mix64(np.asarray([value], dtype=np.uint64))[0]
+        assert _mix64_int(value) == int(vector)
+
+    @pytest.mark.parametrize("name", profile_names())
+    def test_registered_profiles_on_a_clock_grid(self, name):
+        # Every 125 ms over 20 s, plus drift's onset: the grid crosses
+        # boot-storm's end, drift's onset and cap, hostile's half period
+        # and period, and every mis-read window edge. Three pairs per
+        # instant let a burst carry from one call into the next.
+        rng = np.random.default_rng(0)
+        clock = sorted({k * 0.125e9 for k in range(161)} | {3.6e9})
+        steps = []
+        for now_ns in clock:
+            for _ in range(3):
+                addr_a, addr_b = (
+                    _EDGE_ADDRESSES[rng.integers(len(_EDGE_ADDRESSES))]
+                    if rng.random() < 0.25
+                    else int(rng.integers(0, 2**64, dtype=np.uint64))
+                    for _ in range(2)
+                )
+                if rng.random() < 0.5:
+                    addr_a, addr_b = np.uint64(addr_a), np.uint64(addr_b)
+                latency, is_conflict = rng.uniform(60.0, 120.0), rng.random() < 0.3
+                steps.append((latency, is_conflict, addr_a, addr_b, now_ns))
+        _assert_scalar_step_matches_batch(get_profile(name), 5, steps)
+
+    @given(_storm_and_burst_profiles(), st.integers(0, 2**32), _steps)
+    @settings(max_examples=150, deadline=None)
+    def test_storm_and_burst_mixes_on_random_clocks(self, profile, seed, raw_steps):
+        now_ns = 0.0
+        steps = []
+        for latency, is_conflict, addr_a, addr_b, as_uint64, advance in raw_steps:
+            now_ns += advance
+            if as_uint64:
+                addr_a, addr_b = np.uint64(addr_a), np.uint64(addr_b)
+            steps.append((latency, is_conflict, addr_a, addr_b, now_ns))
+        _assert_scalar_step_matches_batch(profile, seed, steps)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dram.presets import preset
+from repro.faults import FaultInjector, get_profile
 from repro.machine.clock import MeasurementCost, SimClock
 from repro.machine.machine import SimulatedMachine
 from repro.memctrl.timing import NoiseParams
@@ -103,19 +104,16 @@ class TestMeasurement:
 
 
 class TestPairMeasurement:
-    def test_pairs_bit_identical_to_scalar_loop(self):
-        """measure_latency_pairs must reproduce a scalar measure_latency
-        loop exactly — latencies, clock charge, and stats — on an
-        identically-seeded machine (it replaced such loops in the
-        baselines)."""
-        rng = np.random.default_rng(3)
-        bases = rng.integers(0, preset("No.1").mapping.geometry.total_bytes, 64, dtype=np.uint64)
-        partners = rng.integers(0, preset("No.1").mapping.geometry.total_bytes, 64, dtype=np.uint64)
-
-        noisy = SimulatedMachine.from_preset(preset("No.1"), seed=7)
-        batch = noisy.measure_latency_pairs(bases, partners, rounds=50)
-
-        reference = SimulatedMachine.from_preset(preset("No.1"), seed=7)
+    @staticmethod
+    def _pairs_match_scalar_loop(make_machine, rng, count):
+        """Measure ``count`` random pairs with measure_latency_pairs on one
+        machine and a measure_latency loop on its twin; latencies, clock
+        charge and stats must agree. Returns both machines."""
+        total = preset("No.1").mapping.geometry.total_bytes
+        bases = rng.integers(0, total, count, dtype=np.uint64)
+        partners = rng.integers(0, total, count, dtype=np.uint64)
+        paired, reference = make_machine(), make_machine()
+        batch = paired.measure_latency_pairs(bases, partners, rounds=50)
         scalar = np.array(
             [
                 reference.measure_latency(int(a), int(b), rounds=50)
@@ -123,9 +121,38 @@ class TestPairMeasurement:
             ]
         )
         np.testing.assert_array_equal(batch, scalar)
-        assert noisy.clock.elapsed_ns == reference.clock.elapsed_ns
-        assert noisy.stats.measurements == reference.stats.measurements
-        assert noisy.stats.accesses_timed == reference.stats.accesses_timed
+        assert paired.clock.elapsed_ns == reference.clock.elapsed_ns
+        assert paired.stats == reference.stats
+        return paired, reference
+
+    def test_pairs_bit_identical_to_scalar_loop(self):
+        """measure_latency_pairs must reproduce a scalar measure_latency
+        loop exactly — latencies, clock charge, and stats — on an
+        identically-seeded machine (it replaced such loops in the
+        baselines)."""
+        self._pairs_match_scalar_loop(
+            lambda: SimulatedMachine.from_preset(preset("No.1"), seed=7),
+            np.random.default_rng(3),
+            64,
+        )
+
+    @pytest.mark.parametrize("profile", ["hostile", "boot-storm", "sticky-misreads"])
+    def test_faulted_pairs_bit_identical_to_scalar_loop(self, profile):
+        """Under faults each pair reads the clock after the previous
+        pair's charge, as the scalar loop does: same latencies, clock,
+        stats and fault-RNG stream."""
+
+        def faulted():
+            injector = FaultInjector(get_profile(profile), seed=7)
+            return SimulatedMachine.from_preset(preset("No.1"), seed=7, faults=injector)
+
+        paired, reference = self._pairs_match_scalar_loop(
+            faulted, np.random.default_rng(4), 256
+        )
+        assert (
+            paired.faults._rng.bit_generator.state
+            == reference.faults._rng.bit_generator.state
+        )
 
     def test_shape_mismatch_rejected(self):
         machine = quiet_machine()

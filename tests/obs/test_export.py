@@ -114,6 +114,23 @@ class TestStrictLoading:
         with pytest.raises(ValueError, match=":2: metrics .* not an object"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "metrics, field",
+        [({"type": "metrics", "counters": {"a": [1]}}, "counter 'a'"),
+         ({"type": "metrics", "counters": {"a": "3"}}, "counter 'a'"),
+         ({"type": "metrics", "histograms": {"h": {"count": "x"}}}, "histogram 'h' count"),
+         ({"type": "metrics", "histograms": {"h": {"count": 2, "total": None}}},
+          "histogram 'h' total")],
+    )
+    def test_mistyped_metric_value_names_the_line(self, tmp_path, metrics, field):
+        path = tmp_path / "damaged.jsonl"
+        path.write_text(
+            json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION})
+            + "\n" + json.dumps(metrics) + "\n"
+        )
+        with pytest.raises(ValueError, match=f":2: metrics {field} is not a number"):
+            load_trace(path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_trace(tmp_path / "absent.jsonl")

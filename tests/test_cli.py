@@ -117,6 +117,29 @@ def test_max_gib_rejects_a_cap_below_every_geometry(monkeypatch, capsys):
         assert main(["fleet", "run", "--max-gib", good]) == 0
 
 
+@pytest.mark.parametrize(
+    "option, floor",
+    [("--fleet-size", 1), ("--families", 1), ("--wave", 1), ("--max-candidates", 1),
+     ("--breaker-threshold", 1), ("--mismatch-every", 2)],
+)
+def test_fleet_count_options_reject_values_below_their_floor(
+    monkeypatch, capsys, option, floor
+):
+    """Each bound is the one the fleet layer enforces; a value below it is
+    a usage error (exit 2), not a traceback from the fleet layer."""
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "_command_fleet", lambda args: 0)
+    for bad in (str(floor - 1), "-1"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", "run", option, bad])
+        assert exit_info.value.code == 2
+        assert f"{option} must be at least {floor} (got {bad})" in (
+            capsys.readouterr().err
+        )
+    assert main(["fleet", "run", option, str(floor)]) == 0
+
+
 def test_grid_flags_build_supervision(monkeypatch, capsys):
     """The crash-safety flags reach run_table1 as a GridPolicy + journal."""
     import repro.cli as cli
@@ -601,6 +624,28 @@ class TestObsCli:
             assert f"cannot read trace {trace}: {trace}:3: not an object" in (
                 capsys.readouterr().err
             )
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [{"type": "metrics", "counters": {"a": [1]}},
+         {"type": "metrics", "histograms": {"h": {"count": "x"}}}],
+    )
+    def test_trace_commands_refuse_a_mistyped_metric(self, tmp_path, capsys, metrics):
+        import json
+
+        trace, clean = tmp_path / "trace.jsonl", tmp_path / "clean.jsonl"
+        self._write_trace(trace, 3e9)
+        self._write_trace(clean, 3e9)
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines[:-1] + [json.dumps(metrics)]) + "\n")
+        for argv in (
+            ["trace", "summary", str(trace)],
+            ["obs", "critical-path", str(trace)],
+            ["obs", "diff", str(clean), str(trace)],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"{trace}:4: metrics" in err and "is not a number" in err
 
     def test_resume_refuses_a_trace_and_leaves_it_untouched(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
